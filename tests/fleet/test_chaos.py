@@ -10,6 +10,7 @@ The same seed must reproduce the campaign exactly.
 import pytest
 
 from repro.chaos import fleet_determinism_fingerprint, run_fleet_campaign
+from tests.fleet.conftest import assert_pinned_fingerprint
 
 SEEDS = [0, 1, 2]
 
@@ -32,6 +33,8 @@ def test_campaign_is_deterministic_for_a_seed():
     a = run_fleet_campaign(seed=0)
     b = run_fleet_campaign(seed=0)
     assert fleet_determinism_fingerprint(a) == fleet_determinism_fingerprint(b)
+    assert_pinned_fingerprint(
+        a, "5bde852c4eda937d82e8ef25b6015a9ce25fd0bd7a2ba909364cca6ed6b2a94c")
 
 
 def test_campaign_with_kills_still_promotes_and_audits():
@@ -43,3 +46,6 @@ def test_campaign_with_kills_still_promotes_and_audits():
     dead = {node_id for _view, node_id in result["promotions"]}
     killed = [snap for snap in result["nodes"] if not snap["alive"]]
     assert {snap["node"] for snap in killed} <= dead
+    assert_pinned_fingerprint(
+        result,
+        "efa3d3ca309a75ef67c0d40a838a9df7faad50f72133dd8c38841b1ca4dc3ae6")

@@ -14,8 +14,15 @@ from repro.fleet import Fleet
 from repro.fleet.chaos import (fleet_determinism_fingerprint,
                                run_fleet_campaign)
 from repro.fleet.interconnect import LinkFaultPlan
+from tests.fleet.conftest import assert_pinned_fingerprint
 
 VALUE = 6000
+
+#: Lossy-campaign fingerprint digests, pinned per seed.
+LOSSY_CAMPAIGN_DIGESTS = {
+    1: "a7a0e6254e8fa6c0846f9ebaeffec219dc8c51002c9c746b687f462c9bc2eb37",
+    2: "b9475d8ca65eb72608032675cde7ee1fbae08a778f5255fe8349de9cfbe18ee7",
+}
 
 
 def _lossy_fleet(seed=4, n_nodes=3):
@@ -86,7 +93,7 @@ def test_backoff_jitter_is_seeded_and_bounded():
     assert delays(0) != delays(1)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", sorted(LOSSY_CAMPAIGN_DIGESTS))
 def test_lossy_campaign_loses_nothing_and_reproduces(seed):
     a = run_fleet_campaign(seed=seed, lossy=True)
     assert a["failures"] == []
@@ -98,3 +105,4 @@ def test_lossy_campaign_loses_nothing_and_reproduces(seed):
     b = run_fleet_campaign(seed=seed, lossy=True)
     assert (fleet_determinism_fingerprint(a)
             == fleet_determinism_fingerprint(b))
+    assert_pinned_fingerprint(a, LOSSY_CAMPAIGN_DIGESTS[seed])

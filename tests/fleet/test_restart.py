@@ -12,6 +12,7 @@ import pytest
 from repro.chaos import fleet_determinism_fingerprint, run_restart_campaign
 from repro.fleet.disk import NodeDisk
 from repro.fleet.fleet import Fleet
+from tests.fleet.conftest import assert_pinned_fingerprint
 
 SEEDS = [1, 2, 5]  # pinned by determinism: each fires kill+restart storms
 
@@ -218,11 +219,16 @@ def test_double_crash_of_primary_and_backup_recovers():
     assert result["failures"] == []
     assert result["lost_acked"] == []
     assert result["leaked_pins"] == 0
+    assert_pinned_fingerprint(
+        result,
+        "a55defa521aa19b36554ae6e0123b78db9b1372314e8f1e18b0a8e9ee26ef57f")
 
 
 def test_restart_campaign_is_deterministic_for_a_seed():
     a = run_restart_campaign(seed=2)
     b = run_restart_campaign(seed=2)
     assert fleet_determinism_fingerprint(a) == fleet_determinism_fingerprint(b)
+    assert_pinned_fingerprint(
+        a, "308be36e990de039574ace7ca278229e1ae05a7d7a2b363ba655bb6ef783fb62")
     # Seed 2 wipes a disk, so the peer-shipped checkpoint path ran.
     assert any(wiped for _t, _n, _d, wiped in a["restart_log"])
