@@ -267,6 +267,8 @@ def _serialize_copier(service):
                           for kind, rng in faults._rngs.items()},
         },
         "fault_stats": _slots_dict(service.fault_stats),
+        "e2e_crc": service.e2e_crc,
+        "integrity": _slots_dict(service.integrity),
         "dma": None if service.dma is None else {
             "check_contiguity": service.dma.check_contiguity,
             "busy_cycles": service.dma.busy_cycles,
@@ -276,6 +278,7 @@ def _serialize_copier(service):
             "aborted_batches": service.dma.aborted_batches,
             "stall_cycles": service.dma.stall_cycles,
             "efaults": service.dma.efaults,
+            "bitflips": service.dma.bitflips,
         },
         "clients": clients,
         "departed_asids": [a.asid for a in service._departed_aspaces],
@@ -490,6 +493,7 @@ def _restore_copier(system, cp, trace_data, asid_map):
         lazy_period_cycles=cp["lazy_period_cycles"],
         autoscale=cp["autoscale"],
         fault_plan=plan,
+        e2e_crc=cp["e2e_crc"],
         admission=adm_policy,
         watchdog_cycles=cp["watchdog"]["period_cycles"],
         watchdog_starvation_cycles=cp["watchdog"]["starvation_cycles"],
@@ -542,6 +546,7 @@ def _restore_copier(system, cp, trace_data, asid_map):
         rng.setstate(state)
         faults._rngs[kind] = rng
     _set_slots(svc.fault_stats, cp["fault_stats"])
+    _set_slots(svc.integrity, cp["integrity"])
     if svc.dma is not None:
         dma_data = cp["dma"]
         svc.dma.check_contiguity = dma_data["check_contiguity"]
@@ -552,6 +557,7 @@ def _restore_copier(system, cp, trace_data, asid_map):
         svc.dma.aborted_batches = dma_data["aborted_batches"]
         svc.dma.stall_cycles = dma_data["stall_cycles"]
         svc.dma.efaults = dma_data["efaults"]
+        svc.dma.bitflips = dma_data["bitflips"]
     # Scheduler groups before clients, so create_client finds its cgroup.
     for name, shares, total in cp["scheduler"]["cgroups"]:
         group = (svc.scheduler.cgroups.get(name)

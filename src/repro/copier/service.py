@@ -39,6 +39,13 @@ _DRAIN_STEP_CYCLES = 20_000
 #: without ever draining anything, so ``executed == 0`` never fires.
 _DRAIN_STALL_STEPS = 4
 
+#: Why :meth:`CopierService.quiesce` refuses, per drain stop reason.
+_QUIESCE_STOPS = {
+    "deadline": "quiesce deadline passed with work outstanding",
+    "idle": "quiesce wedged: backlog remains but nothing can run",
+    "stalled": "quiesce wedged: events fire but nothing drains",
+}
+
 
 class LifecycleStats:
     """Counters for the lifecycle layer (exit reaping, EFAULT, drain)."""
@@ -258,22 +265,57 @@ class CopierService:
         """Outstanding pin count across every aspace the service touched."""
         return sum(a.pins_outstanding() for a in self._all_aspaces())
 
+    def _drain(self, pending, deadline):
+        """Step the loop until ``pending()`` is false; returns ``None``,
+        or why it stopped: ``deadline`` (relative cycles) passed —
+        ``"deadline"``; an idle slice, nothing can run — ``"idle"``; or
+        ``_DRAIN_STALL_STEPS`` slices of events under a frozen
+        :meth:`_drain_signature`, only busy-waiters (a csync spinning on
+        a copy wedged on a dead fleet link) running — ``"stalled"``.
+
+        Lazy tasks are deferred-until-convenient work and a drain is the
+        convenient moment: kick them in first, so a copy only waiting out
+        its lazy period is executed, not reaped or read as a wedge.
+        """
+        env = self.env
+        for client in self.clients:
+            for task in client.task_index:
+                if task.lazy and not task.is_finished and \
+                        task.lazy_deadline is not None:
+                    task.lazy_deadline = min(task.lazy_deadline, env.now)
+        limit = None if deadline is None else env.now + deadline
+        stalled = 0
+        last_sig = None
+        while pending():
+            if limit is not None and env.now >= limit:
+                return "deadline"
+            self.awaken()
+            budget = _DRAIN_STEP_CYCLES
+            if limit is not None and env.now + budget > limit:
+                budget = limit - env.now
+            if env.step(max_cycles=budget).executed == 0:
+                return "idle"
+            sig = self._drain_signature()
+            if sig == last_sig:
+                stalled += 1
+                if stalled >= _DRAIN_STALL_STEPS:
+                    return "stalled"
+            else:
+                stalled = 0
+                last_sig = sig
+        return None
+
     def shutdown(self, deadline=None):
         """Drain and stop the service; returns a report dict.
 
         Stops admission (submissions raise ``AdmissionReject("draining")``),
-        then drives the event loop in bounded ``env.step`` slices until
-        the backlog drains or ``deadline`` (relative cycles) passes —
-        work parked behind a quarantined DMA engine drains too, because
-        rounds fall back to the AVX stream.  The drain is wedge-aware in
-        both directions: an idle slice (``executed == 0``) means nothing
-        can run, and ``_DRAIN_STALL_STEPS`` slices with events but a
-        frozen :meth:`_drain_signature` mean only busy-waiters are
-        running — e.g. a csync spinning on a copy whose worker wedged on
-        a dead fleet link.  Stragglers at the wedge or deadline
-        are force-reaped (``drain-reap``), the workers are stopped, and
-        zero leaked pins is asserted.  Call from outside the event loop
-        (a driver, not a simulated process); the stepping API's
+        then runs :meth:`_drain` until the backlog drains, ``deadline``
+        (relative cycles) passes, or the drain detects a wedge — work
+        parked behind a quarantined DMA engine drains too, because
+        rounds fall back to the AVX stream.  Stragglers at the wedge or
+        deadline are force-reaped (``drain-reap``), the workers are
+        stopped, and zero leaked pins is asserted.  Call from outside the
+        event loop (a driver, not a simulated process); the stepping API's
         re-entrancy guard enforces that, and also means the drain can
         never fight an async :class:`~repro.serve.driver.SimDriver` for
         the run loop — stop the driver first, then drain.
@@ -286,27 +328,7 @@ class CopierService:
         requeued = sum(1 for c in self.clients
                        for t in c.task_index if not t.is_finished)
         self.lifecycle.drain_requeued += requeued
-        limit = None if deadline is None else start + deadline
-        stalled = 0
-        last_sig = None
-        while self._outstanding():
-            if limit is not None and env.now >= limit:
-                break
-            self.awaken()
-            budget = _DRAIN_STEP_CYCLES
-            if limit is not None and env.now + budget > limit:
-                budget = limit - env.now
-            report = env.step(max_cycles=budget)
-            if report.executed == 0:
-                break  # nothing left to execute: wedged or already idle
-            sig = self._drain_signature()
-            if sig == last_sig:
-                stalled += 1
-                if stalled >= _DRAIN_STALL_STEPS:
-                    break  # events fire but the backlog is frozen: wedged
-            else:
-                stalled = 0
-                last_sig = sig
+        self._drain(self._outstanding, deadline)
         force_reaped = 0
         for client in list(self.clients):
             force_reaped += self._reap_tasks(client, "drain-reap")
@@ -344,7 +366,7 @@ class CopierService:
     def quiesce(self, deadline=None):
         """Drain the service to a checkpointable standstill — pause, not reap.
 
-        The same wedge-aware bounded drain as :meth:`shutdown`, with pause
+        The same :meth:`_drain` as :meth:`shutdown`, with pause
         semantics: admission freezes (``draining``), every in-flight task
         retires normally, the sync rings empty, the workers park (their
         loop generators exit), the DMA device process is killed and the
@@ -361,40 +383,10 @@ class CopierService:
         if self.quiesced:
             return
         env = self.env
-        start = env.now
         self.draining = True
-        # Lazy tasks are deferred-until-convenient work and the checkpoint
-        # is the convenient moment: kick them in now instead of letting the
-        # stall detector read a multi-megacycle lazy timer as a wedge.
-        for client in self.clients:
-            for task in client.pending:
-                if task.lazy and not task.is_finished and \
-                        task.lazy_deadline is not None:
-                    task.lazy_deadline = min(task.lazy_deadline, env.now)
-        limit = None if deadline is None else start + deadline
-        stalled = 0
-        last_sig = None
-        while self._quiesce_pending():
-            if limit is not None and env.now >= limit:
-                raise CheckpointStateError(
-                    "quiesce deadline passed with work outstanding")
-            self.awaken()
-            budget = _DRAIN_STEP_CYCLES
-            if limit is not None and env.now + budget > limit:
-                budget = limit - env.now
-            report = env.step(max_cycles=budget)
-            if report.executed == 0:
-                raise CheckpointStateError(
-                    "quiesce wedged: backlog remains but nothing can run")
-            sig = self._drain_signature()
-            if sig == last_sig:
-                stalled += 1
-                if stalled >= _DRAIN_STALL_STEPS:
-                    raise CheckpointStateError(
-                        "quiesce wedged: events fire but nothing drains")
-            else:
-                stalled = 0
-                last_sig = sig
+        stop = self._drain(self._quiesce_pending, deadline)
+        if stop is not None:
+            raise CheckpointStateError(_QUIESCE_STOPS[stop])
         for client in self.clients:
             if len(client.u_queues.handler) or len(client.k_queues.handler):
                 # Refusal, not a wedge: the drain finished, so thaw

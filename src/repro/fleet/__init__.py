@@ -11,7 +11,7 @@ promotes the backup when a node dies.
 """
 
 from repro.fleet.errors import (FleetError, FleetTimeout, FleetUnavailable,
-                                NotOwner, StoreFull)
+                                MessageTooLarge, NotOwner, StoreFull)
 from repro.fleet.fleet import Fleet, FleetOp, FleetStepper
 from repro.fleet.gfd import GlobalFaultDetector
 from repro.fleet.interconnect import Interconnect
@@ -23,5 +23,6 @@ from repro.fleet.store import KVStore
 __all__ = [
     "Fleet", "FleetError", "FleetNode", "FleetOp", "FleetStepper",
     "FleetTimeout", "FleetUnavailable", "GlobalFaultDetector", "HashRing",
-    "Interconnect", "KVStore", "LocalFaultDetector", "NotOwner", "StoreFull",
+    "Interconnect", "KVStore", "LocalFaultDetector", "MessageTooLarge",
+    "NotOwner", "StoreFull",
 ]

@@ -25,6 +25,11 @@ the single-node :class:`~repro.chaos.ChaosController`):
 * ``link_slow`` — a pair's latency/bandwidth degrade by a seeded factor
   for a while.  Slow links delay, never drop: acks still flow.
 
+Every campaign — this one, the lossy one and the restart storms of
+:class:`RestartChaosController` — runs through one loop and one audit;
+a controller owns only its storms, its ``finish`` quiesce step and its
+``result_extras``.
+
 The lossy campaign (``lossy=True``) arms the per-link fault plan and
 layers two more storm kinds on top via
 :class:`LossyChaosController`:
@@ -105,29 +110,25 @@ class _Stream:
         if self.pending is None:
             return False
         op, kind, key, idx = self.pending
-        if not op.done:
-            if not self.fleet.nodes[op.gateway_id].alive:
-                # The gateway died under the op: the client sees a
-                # connection drop, never an ack.
-                self.pending = None
-                self.ops_done += 1
-                self.abandoned += 1
-                return True
+        if not op.done and self.fleet.nodes[op.gateway_id].alive:
             return False
         self.pending = None
         self.ops_done += 1
-        if kind == "set":
+        if not op.done:
+            # The gateway died under the op: the client sees a
+            # connection drop, never an ack.
+            self.abandoned += 1
+        elif kind == "set":
             if op.acked:
                 self.acked += 1
                 entry = oracle[key]
                 entry["acked_idx"] = max(entry["acked_idx"], idx)
-                self.write_idx[key] = idx + 1
             else:
+                # Unacked: may or may not have committed.
                 self.failed += 1
-                # Unacked: may or may not have committed.  Reuse of the
-                # same index would make "which commit won" ambiguous,
-                # so the writer moves on.
-                self.write_idx[key] = idx + 1
+            # Reuse of an index would make "which commit won"
+            # ambiguous, so the writer always moves on.
+            self.write_idx[key] = idx + 1
         else:
             if op.error is None and op.result is not None:
                 entry = oracle.get(key)
@@ -138,6 +139,14 @@ class _Stream:
             elif op.error is not None:
                 self.failed += 1
         return True
+
+
+def _pick_peer(rng, node_ids, a):
+    """A seeded node id other than ``a``."""
+    b = node_ids[rng.randrange(len(node_ids))]
+    if a == b:
+        b = node_ids[(node_ids.index(a) + 1) % len(node_ids)]
+    return b
 
 
 class FleetChaosController:
@@ -175,37 +184,38 @@ class FleetChaosController:
 
     def _membership_settled(self):
         """No declared death is still resyncing, no real kill is still
-        undetected, and no control-plane partition is pending — the
-        windows in which losing another owner would exceed the
-        replication factor."""
+        undetected, and the control plane is settled — the windows in
+        which losing another owner would exceed the replication
+        factor."""
         fleet = self.fleet
         if fleet.resyncs_active:
             return False
         declared = {node_id for _view, node_id in fleet.promotions}
         if any(k not in declared for k in fleet.kills):
             return False
+        return self._control_plane_settled()
+
+    def _control_plane_settled(self):
+        """No GFD control-link partition is pending, and no live node is
+        silent long enough to be halfway to declaration (a promotion in
+        the making; wait it out)."""
         if any(kind == "partition" and GFD_ENDPOINT in (a, b)
                for _tick, kind, a, b in self.heal_at):
             return False
-        # A node silent long enough to be halfway to declaration is a
-        # promotion in the making; wait it out.
-        if fleet.gfd is not None:
-            horizon = fleet.stepper.horizon
-            for node_id in fleet.gfd.alive:
-                if (fleet.nodes[node_id].alive
-                        and horizon - fleet.gfd.last_beat[node_id]
-                        > 3 * fleet.lfd_period):
-                    return False
-        return True
+        fleet = self.fleet
+        if fleet.gfd is None:
+            return True
+        horizon = fleet.stepper.horizon
+        return not any(fleet.nodes[node_id].alive
+                       and horizon - fleet.gfd.last_beat[node_id]
+                       > 3 * fleet.lfd_period
+                       for node_id in fleet.gfd.alive)
 
     def _kill_allowed(self):
-        if self.kills >= self.max_kills:
-            return False
-        if len(self.fleet.live_nodes) <= 2:
-            return False
-        if not self._membership_settled():
-            return False
-        return self.tick_count - self.last_kill_tick >= 20
+        return (self.kills < self.max_kills
+                and len(self.fleet.live_nodes) > 2
+                and self._membership_settled()
+                and self.tick_count - self.last_kill_tick >= 20)
 
     def _fire(self):
         rng = self.rng
@@ -220,33 +230,44 @@ class FleetChaosController:
             self.events.append((self.tick_count, "node_kill", victim))
             return
         node_ids = [node.node_id for node in fleet.nodes]
+        a = node_ids[rng.randrange(len(node_ids))]
         if roll < 0.65:
-            a = node_ids[rng.randrange(len(node_ids))]
             if rng.random() < 0.3 and self._membership_settled():
                 b = GFD_ENDPOINT  # false-positive promotion fuel
             else:
-                b = node_ids[rng.randrange(len(node_ids))]
-                if a == b:
-                    b = node_ids[(node_ids.index(a) + 1) % len(node_ids)]
+                b = _pick_peer(rng, node_ids, a)
             fleet.interconnect.partition(a, b)
-            duration = rng.randrange(8, 25)
-            self.heal_at.append((self.tick_count + duration, "partition",
-                                 a, b))
-            self.heal_at.sort()
-            self.events.append((self.tick_count, "link_partition",
-                                "%s/%s" % (a, b)))
+            self._storm(rng.randrange(8, 25), "partition", a, b,
+                        "link_partition", "%s/%s" % (a, b))
         else:
-            a = node_ids[rng.randrange(len(node_ids))]
-            b = node_ids[rng.randrange(len(node_ids))]
-            if a == b:
-                b = node_ids[(node_ids.index(a) + 1) % len(node_ids)]
+            b = _pick_peer(rng, node_ids, a)
             factor = rng.choice([2.0, 4.0, 8.0])
             fleet.interconnect.slow(a, b, factor)
-            duration = rng.randrange(10, 30)
-            self.heal_at.append((self.tick_count + duration, "slow", a, b))
-            self.heal_at.sort()
-            self.events.append((self.tick_count, "link_slow",
-                                "%s/%s x%g" % (a, b, factor)))
+            self._storm(rng.randrange(10, 30), "slow", a, b,
+                        "link_slow", "%s/%s x%g" % (a, b, factor))
+
+    def _storm(self, duration, kind, a, b, event, detail):
+        """Log a storm that heals ``duration`` ticks from now."""
+        self.heal_at.append((self.tick_count + duration, kind, a, b))
+        self.heal_at.sort()
+        self.events.append((self.tick_count, event, detail))
+
+    def finish(self, settle_rounds, max_rounds):
+        """Quiesce once the streams drain; returns audit failures found.
+
+        Pending storms and every link heal, then detections/resyncs
+        settle.  A link plan's baseline stays armed through the audit:
+        the final reads cross the same lossy wire as the campaign."""
+        for _tick, kind, a, b in list(self.heal_at):
+            self._heal_one(kind, a, b)
+        self.heal_at.clear()
+        self.fleet.interconnect.heal_all()
+        self.fleet.stepper.settle(settle_rounds)
+        return []
+
+    def result_extras(self):
+        """Controller-specific keys added to the campaign result."""
+        return {}
 
 
 class LossyChaosController(FleetChaosController):
@@ -289,9 +310,7 @@ class LossyChaosController(FleetChaosController):
         node_ids = [node.node_id for node in fleet.nodes]
         if roll < 0.8:
             a = node_ids[rng.randrange(len(node_ids))]
-            b = node_ids[rng.randrange(len(node_ids))]
-            if a == b:
-                b = node_ids[(node_ids.index(a) + 1) % len(node_ids)]
+            b = _pick_peer(rng, node_ids, a)
             rates = {
                 "drop_rate": rng.uniform(0.05, 0.30),
                 "dup_rate": rng.uniform(0.0, 0.20),
@@ -300,23 +319,15 @@ class LossyChaosController(FleetChaosController):
                 "corrupt_rate": rng.uniform(0.0, 0.15),
             }
             fleet.interconnect.set_link_faults(a, b, **rates)
-            duration = rng.randrange(8, 25)
-            self.heal_at.append((self.tick_count + duration, "lossy", a, b))
-            self.heal_at.sort()
             self.lossy_bursts += 1
-            self.events.append(
-                (self.tick_count, "link_lossy",
-                 "%s/%s drop=%.2f dup=%.2f reorder=%.2f corrupt=%.2f"
-                 % (a, b, rates["drop_rate"], rates["dup_rate"],
-                    rates["reorder_rate"], rates["corrupt_rate"])))
+            self._storm(rng.randrange(8, 25), "lossy", a, b, "link_lossy",
+                        "%s/%s drop=%.2f dup=%.2f reorder=%.2f corrupt=%.2f"
+                        % (a, b, rates["drop_rate"], rates["dup_rate"],
+                           rates["reorder_rate"], rates["corrupt_rate"]))
         else:
             self._arm_bitflips()
-            duration = rng.randrange(10, 30)
-            self.heal_at.append((self.tick_count + duration, "bitflip",
-                                 "fleet", "fleet"))
-            self.heal_at.sort()
-            self.events.append((self.tick_count, "bitflip_storm",
-                                "%d nodes" % len(self._armed_nodes)))
+            self._storm(rng.randrange(10, 30), "bitflip", "fleet", "fleet",
+                        "bitflip_storm", "%d nodes" % len(self._armed_nodes))
 
     def _arm_bitflips(self):
         self.bitflip_storms += 1
@@ -346,6 +357,12 @@ class LossyChaosController(FleetChaosController):
                 copier.dma.injector = (prev_faults if prev_faults.armed
                                        else None)
         self._armed_nodes.clear()
+
+    def result_extras(self):
+        if self.fleet.link_fault_plan is None:
+            return {}
+        return {"lossy_bursts": self.lossy_bursts,
+                "bitflip_storms": self.bitflip_storms}
 
 
 class RestartChaosController(FleetChaosController):
@@ -397,21 +414,11 @@ class RestartChaosController(FleetChaosController):
         fleet = self.fleet
         if fleet.recovering_nodes or fleet.resyncs_active:
             return False
-        if any(kind == "partition" and GFD_ENDPOINT in (a, b)
-               for _tick, kind, a, b in self.heal_at):
-            return False
-        if fleet.gfd is not None:
-            for node_id in set(fleet.kills):
-                node = fleet.nodes[node_id]
-                if not node.alive and node_id in fleet.gfd.alive:
-                    return False  # killed, not yet declared
-            horizon = fleet.stepper.horizon
-            for node_id in fleet.gfd.alive:
-                if (fleet.nodes[node_id].alive
-                        and horizon - fleet.gfd.last_beat[node_id]
-                        > 3 * fleet.lfd_period):
-                    return False
-        return True
+        if fleet.gfd is not None and any(
+                not fleet.nodes[node_id].alive and node_id in fleet.gfd.alive
+                for node_id in set(fleet.kills)):
+            return False  # killed, not yet declared
+        return self._control_plane_settled()
 
     def _restart_pass(self):
         fleet = self.fleet
@@ -454,16 +461,12 @@ class RestartChaosController(FleetChaosController):
                              "/wiped" if wiped else "")))
 
     def _double_crash_pass(self):
-        if not self.double_crash_armed:
-            return
-        if self.tick_count < self.double_crash_after:
-            return
         fleet = self.fleet
-        if not all(node.alive for node in fleet.nodes):
-            return
-        if not self._membership_settled():
-            return
-        if self.tick_count - self.last_kill_tick < 20:
+        if (not self.double_crash_armed
+                or self.tick_count < self.double_crash_after
+                or not all(node.alive for node in fleet.nodes)
+                or not self._membership_settled()
+                or self.tick_count - self.last_kill_tick < 20):
             return
         key = self.all_keys[self.rng_restart.randrange(len(self.all_keys))]
         owners = list(fleet.ring.owners(key)[:2])
@@ -476,39 +479,59 @@ class RestartChaosController(FleetChaosController):
         self.events.append((self.tick_count, "double_crash",
                             "%r -> %s" % (key, owners)))
 
+    def finish(self, settle_rounds, max_rounds):
+        """Heal, bring every dead node home, and drain recovery fully;
+        the audit then runs against the *whole* fleet."""
+        fleet = self.fleet
+        fleet.interconnect.heal_all()
+        for node in fleet.nodes:
+            if not node.alive:
+                fleet.restart_node(node.node_id)
+                self.restart_log.append((self.tick_count, node.node_id,
+                                         False, False))
+                self.events.append((self.tick_count, "node_restart",
+                                    "%s/final" % node.node_id))
+        fleet.stepper.run_until(
+            lambda: not fleet.resyncs_active and not fleet.recovering_nodes,
+            max_rounds=max_rounds)
+        fleet.stepper.settle(settle_rounds)
+        live_ids = sorted(node.node_id for node in fleet.live_nodes)
+        return ([] if len(live_ids) == len(fleet.nodes)
+                else ["not every node rejoined: %r" % (live_ids,)])
 
-def run_fleet_campaign(seed=0, n_nodes=4, n_streams=6, n_ops=12, n_keys=3,
-                       n_events=10, value_bytes=4096, max_rounds=400_000,
-                       settle_rounds=400, fleet_kwargs=None, lossy=False):
-    """Run one fleet chaos campaign; returns a result dict.
+    def result_extras(self):
+        nodes = self.fleet.nodes
+        cycles = [node.counters["recovery_cycles"] for node in nodes
+                  if node.counters.get("recovery_cycles")]
+        return {"restarts": list(self.fleet.restarts),
+                "restart_log": list(self.restart_log),
+                "double_crashes": list(self.double_crashes),
+                "recoveries": sum(node.counters.get("recoveries", 0)
+                                  for node in nodes),
+                "mttr_cycles": sum(cycles) // len(cycles) if cycles else 0}
 
-    The result carries the fault log, promotion history, per-stream
-    outcomes, the zero-lost-acked-writes audit, leak checks and a
-    determinism fingerprint source — everything the fleet soak job and
-    ``tests/fleet`` assert on.
 
-    With ``lossy=True`` the fleet runs with the per-link fault plan
-    armed (``mixed`` baseline unless ``fleet_kwargs`` overrides it),
-    the reliable channel carrying every fleet message, and the storm
-    mix extended with lossy bursts and bitflip storms — the audit then
-    additionally proves no corrupted payload was ever acked or served.
+def _campaign_keys(n_streams, n_keys):
+    return [b"s%d-k%d" % (s, k)
+            for s in range(n_streams) for k in range(n_keys)]
+
+
+def _run_campaign(fleet, controller, seed, n_streams, n_ops, n_keys,
+                  value_bytes, max_rounds, settle_rounds):
+    """The one campaign loop and audit behind every fleet storm.
+
+    Runs the closed-loop streams (each completed op is a chaos tick),
+    hands off to ``controller.finish`` to quiesce, then reads every key
+    back through the fleet and classifies it against the shadow oracle
+    as lost (missing/stale) or phantom.  The result carries the fault
+    log, promotion history, per-stream outcomes, the audit, leak checks,
+    the armed link plan's transport counters and the controller's own
+    ``result_extras``.
     """
-    fleet_kwargs = dict(fleet_kwargs or {})
-    if lossy:
-        fleet_kwargs.setdefault("link_fault_plan",
-                                LinkFaultPlan.named("mixed", seed))
-        fleet_kwargs.setdefault("backoff_jitter_seed", seed)
-    fleet = Fleet(n_nodes=n_nodes, **fleet_kwargs)
-    streams = []
-    all_keys = [b"s%d-k%d" % (s, k)
-                for s in range(n_streams) for k in range(n_keys)]
+    all_keys = _campaign_keys(n_streams, n_keys)
     oracle = {key: {"issued": [], "acked_idx": -1} for key in all_keys}
-    for sid in range(n_streams):
-        streams.append(_Stream(sid, fleet, seed, n_ops, n_keys, value_bytes,
-                               all_keys))
-    controller_cls = LossyChaosController if lossy else FleetChaosController
-    controller = controller_cls(fleet, seed, n_events,
-                                total_ops=n_streams * n_ops)
+    streams = [_Stream(sid, fleet, seed, n_ops, n_keys, value_bytes, all_keys)
+               for sid in range(n_streams)]
 
     rounds = 0
     while not all(stream.finished for stream in streams):
@@ -523,18 +546,7 @@ def run_fleet_campaign(seed=0, n_nodes=4, n_streams=6, n_ops=12, n_keys=3,
         fleet.stepper.step_round()
         rounds += 1
 
-    # Quiesce: drain outstanding storms (lossy bursts fall back to the
-    # plan baseline, bitflip injectors disarm), heal every link, let
-    # pending detections/resyncs finish.  The baseline link plan stays
-    # armed through the audit — the reliable channel must carry the
-    # final reads over the same lossy wire it served all campaign.
-    for _tick, kind, a, b in list(controller.heal_at):
-        controller._heal_one(kind, a, b)
-    controller.heal_at.clear()
-    fleet.interconnect.heal_all()
-    fleet.stepper.settle(settle_rounds)
-
-    failures = []
+    failures = controller.finish(settle_rounds, max_rounds)
     lost_acked = []
     audited = 0
     live_ids = sorted(node.node_id for node in fleet.live_nodes)
@@ -549,20 +561,14 @@ def run_fleet_campaign(seed=0, n_nodes=4, n_streams=6, n_ops=12, n_keys=3,
             failures.append("final GET of %r failed: %r" % (key, op.error))
             continue
         audited += 1
-        if entry["acked_idx"] < 0:
-            if op.result is not None and op.result not in entry["issued"]:
-                lost_acked.append(("phantom", key))
-            continue
-        if op.result is None:
-            lost_acked.append(("missing", key, entry["acked_idx"]))
-            continue
-        try:
-            got_idx = entry["issued"].index(op.result)
-        except ValueError:
+        issued, acked_idx = entry["issued"], entry["acked_idx"]
+        got_idx = issued.index(op.result) if op.result in issued else None
+        if op.result is not None and got_idx is None:
             lost_acked.append(("phantom", key))
-            continue
-        if got_idx < entry["acked_idx"]:
-            lost_acked.append(("stale", key, got_idx, entry["acked_idx"]))
+        elif acked_idx >= 0 and op.result is None:
+            lost_acked.append(("missing", key, acked_idx))
+        elif acked_idx >= 0 and got_idx < acked_idx:
+            lost_acked.append(("stale", key, got_idx, acked_idx))
     if lost_acked:
         failures.append("lost acknowledged writes: %r" % (lost_acked,))
 
@@ -578,7 +584,7 @@ def run_fleet_campaign(seed=0, n_nodes=4, n_streams=6, n_ops=12, n_keys=3,
     snap = fleet.snapshot()
     result = {
         "seed": seed,
-        "n_nodes": n_nodes,
+        "n_nodes": len(fleet.nodes),
         "events": controller.events,
         "kills": controller.kills,
         "promotions": list(fleet.promotions),
@@ -607,10 +613,36 @@ def run_fleet_campaign(seed=0, n_nodes=4, n_streams=6, n_ops=12, n_keys=3,
             node.node_id: node.system.copier.integrity.as_dict()
             for node in fleet.live_nodes
             if node.system.copier is not None}
-        if lossy:
-            result["lossy_bursts"] = controller.lossy_bursts
-            result["bitflip_storms"] = controller.bitflip_storms
+    result.update(controller.result_extras())
     return result
+
+
+def run_fleet_campaign(seed=0, n_nodes=4, n_streams=6, n_ops=12, n_keys=3,
+                       n_events=10, value_bytes=4096, max_rounds=400_000,
+                       settle_rounds=400, fleet_kwargs=None, lossy=False):
+    """Run one fleet chaos campaign; returns a result dict.
+
+    Kill/partition/slow storms against the closed-loop streams, audited
+    by :func:`_run_campaign` — everything the fleet soak job and
+    ``tests/fleet`` assert on.
+
+    With ``lossy=True`` the fleet runs with the per-link fault plan
+    armed (``mixed`` baseline unless ``fleet_kwargs`` overrides it),
+    the reliable channel carrying every fleet message, and the storm
+    mix extended with lossy bursts and bitflip storms — the audit then
+    additionally proves no corrupted payload was ever acked or served.
+    """
+    fleet_kwargs = dict(fleet_kwargs or {})
+    if lossy:
+        fleet_kwargs.setdefault("link_fault_plan",
+                                LinkFaultPlan.named("mixed", seed))
+        fleet_kwargs.setdefault("backoff_jitter_seed", seed)
+    fleet = Fleet(n_nodes=n_nodes, **fleet_kwargs)
+    controller_cls = LossyChaosController if lossy else FleetChaosController
+    controller = controller_cls(fleet, seed, n_events,
+                                total_ops=n_streams * n_ops)
+    return _run_campaign(fleet, controller, seed, n_streams, n_ops, n_keys,
+                         value_bytes, max_rounds, settle_rounds)
 
 
 def run_restart_campaign(seed=0, n_nodes=4, n_streams=6, n_ops=12, n_keys=3,
@@ -620,135 +652,23 @@ def run_restart_campaign(seed=0, n_nodes=4, n_streams=6, n_ops=12, n_keys=3,
                          fleet_kwargs=None):
     """Crash-recovery chaos: kill → restart → rejoin storms, audited.
 
-    Same closed-loop streams and shadow oracle as
-    :func:`run_fleet_campaign`, but every killed node comes back from
-    its disk (or a peer's shipped checkpoint when the seed wipes the
-    disk) and rejoins the ring mid-campaign.  After the streams drain,
-    any still-dead node is restarted, links heal, and the fleet runs
-    until every resync and recovery is finished — then the audit runs
-    against the *whole* fleet: zero lost acknowledged writes, zero
-    phantom reads, zero leaked pins, and per-node recovery (MTTR)
-    counters for the bench scenario.
+    Same streams, shadow oracle and audit as :func:`run_fleet_campaign`,
+    but every killed node comes back from its disk (or a peer's shipped
+    checkpoint when the seed wipes the disk) and rejoins the ring
+    mid-campaign.  :meth:`RestartChaosController.finish` restarts any
+    still-dead node and drains every resync and recovery before the
+    audit, which must also find every node rejoined; the result adds the
+    restart log and per-node recovery (MTTR) counters for the bench
+    scenario.
     """
     fleet = Fleet(n_nodes=n_nodes, **(fleet_kwargs or {}))
-    streams = []
-    all_keys = [b"s%d-k%d" % (s, k)
-                for s in range(n_streams) for k in range(n_keys)]
-    oracle = {key: {"issued": [], "acked_idx": -1} for key in all_keys}
-    for sid in range(n_streams):
-        streams.append(_Stream(sid, fleet, seed, n_ops, n_keys, value_bytes,
-                               all_keys))
     controller = RestartChaosController(
         fleet, seed, n_events, total_ops=n_streams * n_ops,
-        all_keys=all_keys, restart_policy=restart_policy,
-        wipe_prob=wipe_prob, double_crash=double_crash)
-
-    rounds = 0
-    while not all(stream.finished for stream in streams):
-        if rounds >= max_rounds:
-            raise RuntimeError("restart chaos campaign stalled after %d "
-                               "rounds" % rounds)
-        for stream in streams:
-            if stream.poll(oracle):
-                controller.tick()
-            if stream.pending is None and not stream.finished:
-                stream.submit_next(oracle)
-        fleet.stepper.step_round()
-        rounds += 1
-
-    # Finalize: heal, bring every dead node home, drain recovery fully.
-    fleet.interconnect.heal_all()
-    for node in fleet.nodes:
-        if not node.alive:
-            fleet.restart_node(node.node_id)
-            controller.restart_log.append((controller.tick_count,
-                                           node.node_id, False, False))
-            controller.events.append((controller.tick_count, "node_restart",
-                                      "%s/final" % node.node_id))
-    fleet.stepper.run_until(
-        lambda: not fleet.resyncs_active and not fleet.recovering_nodes,
-        max_rounds=max_rounds)
-    fleet.stepper.settle(settle_rounds)
-
-    failures = []
-    lost_acked = []
-    audited = 0
-    live_ids = sorted(node.node_id for node in fleet.live_nodes)
-    if len(live_ids) != n_nodes:
-        failures.append("not every node rejoined: %r" % (live_ids,))
-    audit_ops = []
-    for i, key in enumerate(sorted(oracle)):
-        gateway = live_ids[i % len(live_ids)]
-        audit_ops.append((key, fleet.get(key, gateway=gateway)))
-    fleet.run_ops([op for _, op in audit_ops])
-    for key, op in audit_ops:
-        entry = oracle[key]
-        if op.error is not None:
-            failures.append("final GET of %r failed: %r" % (key, op.error))
-            continue
-        audited += 1
-        if entry["acked_idx"] < 0:
-            if op.result is not None and op.result not in entry["issued"]:
-                lost_acked.append(("phantom", key))
-            continue
-        if op.result is None:
-            lost_acked.append(("missing", key, entry["acked_idx"]))
-            continue
-        try:
-            got_idx = entry["issued"].index(op.result)
-        except ValueError:
-            lost_acked.append(("phantom", key))
-            continue
-        if got_idx < entry["acked_idx"]:
-            lost_acked.append(("stale", key, got_idx, entry["acked_idx"]))
-    if lost_acked:
-        failures.append("lost acknowledged writes: %r" % (lost_acked,))
-
-    for stream in streams:
-        if stream.violations:
-            failures.append("stream %d consistency violations: %r"
-                            % (stream.stream_id, stream.violations))
-
-    leaked = fleet.leaked_pins()
-    if leaked:
-        failures.append("%d page pins leaked across the fleet" % leaked)
-
-    recoveries = sum(node.counters.get("recoveries", 0)
-                     for node in fleet.nodes)
-    recovery_cycles = [node.counters["recovery_cycles"]
-                       for node in fleet.nodes
-                       if node.counters.get("recovery_cycles")]
-    snap = fleet.snapshot()
-    return {
-        "seed": seed,
-        "n_nodes": n_nodes,
-        "events": controller.events,
-        "kills": controller.kills,
-        "promotions": list(fleet.promotions),
-        "restarts": list(fleet.restarts),
-        "restart_log": list(controller.restart_log),
-        "double_crashes": list(controller.double_crashes),
-        "recoveries": recoveries,
-        "mttr_cycles": (sum(recovery_cycles) // len(recovery_cycles)
-                        if recovery_cycles else 0),
-        "rounds": rounds,
-        "streams": {s.stream_id: {"ops_done": s.ops_done, "acked": s.acked,
-                                  "failed": s.failed,
-                                  "abandoned": s.abandoned,
-                                  "gets_checked": s.get_checked}
-                    for s in streams},
-        "ops": snap["ops"],
-        "interconnect": {"messages": snap["interconnect"]["messages"],
-                         "bytes": snap["interconnect"]["bytes"],
-                         "dropped": snap["interconnect"]["dropped"]},
-        "nodes": snap["nodes"],
-        "store_digests": {node.node_id: node.store.digest()
-                          for node in fleet.live_nodes},
-        "audited_keys": audited,
-        "lost_acked": lost_acked,
-        "leaked_pins": leaked,
-        "failures": failures,
-    }
+        all_keys=_campaign_keys(n_streams, n_keys),
+        restart_policy=restart_policy, wipe_prob=wipe_prob,
+        double_crash=double_crash)
+    return _run_campaign(fleet, controller, seed, n_streams, n_ops, n_keys,
+                         value_bytes, max_rounds, settle_rounds)
 
 
 def fleet_determinism_fingerprint(result):

@@ -21,5 +21,14 @@ class FleetUnavailable(FleetError):
     """An operation exhausted its retry budget without an acknowledgment."""
 
 
+class MessageTooLarge(FleetError):
+    """An op's key and value do not fit in one inter-node message.
+
+    Raised by :meth:`~repro.fleet.fleet.Fleet.submit` before the op is
+    spawned: the gateway marshals each op into a ``MAX_MSG`` transmit
+    buffer, so an oversized value must be refused, not overrun it.
+    """
+
+
 class StoreFull(FleetError):
     """A node's store arena cannot fit another value."""

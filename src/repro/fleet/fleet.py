@@ -30,7 +30,7 @@ from repro.ckpt import format as ckpt_format
 from repro.ckpt.errors import CheckpointError
 from repro.copier.errors import AdmissionReject, CopyAborted, DeadlineMissed
 from repro.fleet.errors import (FleetError, FleetTimeout, FleetUnavailable,
-                                NotOwner, StoreFull)
+                                MessageTooLarge, NotOwner, StoreFull)
 from repro.fleet.gfd import GlobalFaultDetector
 from repro.fleet.interconnect import (GFD_ENDPOINT, Interconnect,
                                       LinkFaultPlan)
@@ -56,6 +56,13 @@ _ACKS = (ACK_OK, ACK_MISS, ACK_ERR)
 CKPT_CHUNK = MAX_MSG - 4096
 
 _COPY_ERRORS = (CopyAborted, DeadlineMissed, AdmissionReject)
+
+#: Bytes :func:`encode_msg` adds around key and value: type, op id, key
+#: length and value length.
+_MSG_FRAMING = 15
+
+#: Bytes of the in-payload version header (see :func:`_pack_version`).
+_VERSION_BYTES = 8
 
 
 def encode_msg(mtype, op_id, key, value=b""):
@@ -83,11 +90,12 @@ def _pack_version(version):
     expiry timer, but a reliable frame can outlive its RPC and be
     delivered later — the version must ride *inside* the message so a
     zombie delivery still carries its (stale, discardable) version."""
-    return version.to_bytes(8, "little")
+    return version.to_bytes(_VERSION_BYTES, "little")
 
 
 def _unpack_version(value):
-    return int.from_bytes(value[:8], "little"), value[8:]
+    return (int.from_bytes(value[:_VERSION_BYTES], "little"),
+            value[_VERSION_BYTES:])
 
 
 def _env_int(name, default):
@@ -514,6 +522,14 @@ class Fleet:
     # ----------------------------------------------------------- client API
 
     def submit(self, kind, key, value=None, gateway=None):
+        size = _MSG_FRAMING + len(key) + len(value or b"")
+        if self.link_fault_plan is not None:
+            size += _VERSION_BYTES
+        if size > MAX_MSG:
+            raise MessageTooLarge(
+                "%s of a %d-byte key and %d-byte value encodes to %d bytes,"
+                " over the %d-byte message limit"
+                % (kind, len(key), len(value or b""), size, MAX_MSG))
         if gateway is None:
             live = self.live_nodes
             if not live:

@@ -23,7 +23,7 @@ gateway — a connection survives the death of its node.
 
 import asyncio
 
-from repro.fleet.errors import FleetUnavailable
+from repro.fleet.errors import FleetError, FleetUnavailable
 from repro.serve.driver import PARKED, RUNNING, AsyncSession, ServeStats
 from repro.serve.frontends import (
     HELLO_LEN,
@@ -94,7 +94,7 @@ class FleetDriver:
         future = asyncio.get_event_loop().create_future()
         try:
             op = self.fleet.submit(kind, key, value=value, gateway=gateway)
-        except FleetUnavailable as exc:
+        except FleetError as exc:
             future.set_exception(exc)
             return future
         self.stats.ops_submitted += 1
@@ -265,7 +265,7 @@ class FleetRedisServer(_SocketFrontend):
             future = self.driver.submit(kind, key, value=value,
                                         gateway=gateway, session=session)
             op = await future
-        except (FleetUnavailable, RuntimeError):
+        except (FleetError, RuntimeError):
             self.timeouts += 1
             return STATUS_ERR + (0).to_bytes(LEN_BYTES, "little")
         if op.error is not None:

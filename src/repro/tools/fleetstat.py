@@ -15,19 +15,22 @@ Usage::
         [--restart] [--double-crash] [--lossy]
         [--check-determinism] [--json]
 
-``--restart`` switches to the crash-recovery campaign: every killed
-node restarts from its disk (or a peer's shipped checkpoint) and
-rejoins mid-storm, and the audit additionally requires every node back
-alive with recovery (MTTR) counters recorded.  ``--double-crash`` arms
-the simultaneous kill of both owners of one seeded key.
+Every mode runs the same campaign loop and audit; the flags only pick
+the storm controller.  ``--restart`` picks the crash-recovery storm:
+every killed node restarts from its disk (or a peer's shipped
+checkpoint) and rejoins mid-storm, and the audit additionally requires
+every node back alive with recovery (MTTR) counters recorded.
+``--double-crash`` arms the simultaneous kill of both owners of one
+seeded key.
 
-``--lossy`` switches to the silent-failure campaign: every link runs
-the seeded drop/dup/reorder/corrupt fault plan under the reliable
-exactly-once transport, the chaos mix adds lossy bursts and node-local
-bitflip storms (with the end-to-end copy CRC armed), and the report
-grows link-fault, transport and integrity counter sections.  The audit
-is unchanged: zero lost acknowledged writes, zero corrupted bytes
-served.
+``--lossy`` picks the silent-failure storm: every link runs the seeded
+drop/dup/reorder/corrupt fault plan under the reliable exactly-once
+transport and the chaos mix adds lossy bursts and node-local bitflip
+storms (with the end-to-end copy CRC armed).  Any campaign whose fleet
+has a link plan armed — including one armed from
+``COPIER_LINK_FAULT_PLAN`` — reports link-fault, transport and
+integrity counter sections.  The audit is unchanged: zero lost
+acknowledged writes, zero corrupted bytes served.
 
 ``--seed`` defaults to ``COPIER_FLEET_SEED`` (falling back to 0).  The
 fleet arms ``COPIER_FAULT_PLAN``/``COPIER_FAULT_SEED`` from the
@@ -92,7 +95,7 @@ def render(result):
 
 
 def render_lossy(result):
-    """Link-fault / transport / integrity report lines (lossy campaigns).
+    """Link-fault / transport / integrity report lines (link plan armed).
 
     Returns ``[]`` when the campaign ran without a link fault plan, so
     lossless reports stay byte-identical.

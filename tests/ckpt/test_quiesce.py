@@ -102,6 +102,24 @@ def test_shared_segment_blocks_checkpoint(machine):
         checkpoint(system)
 
 
+@pytest.mark.parametrize("deadline, refusal", [
+    (None, "wedged: backlog remains but nothing can run"),
+    (0, "deadline passed with work outstanding"),
+])
+def test_quiesce_refuses_a_backlog_it_cannot_drain(machine, deadline,
+                                                   refusal):
+    system, proc = machine
+    src = proc.aspace.mmap(PAGE_SIZE, populate=True)
+    dst = proc.aspace.mmap(PAGE_SIZE, populate=True)
+    submit = proc.client.amemcpy(dst, src, 1024)
+    with pytest.raises(StopIteration):
+        while True:
+            next(submit)  # queue the copy without running the loop
+    system.copier.stop()  # no worker left to drain it
+    with pytest.raises(CheckpointStateError, match=refusal):
+        system.copier.quiesce(deadline=deadline)
+
+
 def test_checkpoint_after_shutdown_raises(machine):
     system, proc = machine
     _copy(proc)

@@ -32,6 +32,8 @@ SCENARIOS = {
     "slowpath": {"plan": None, "slowpath": True, "admission": None},
     "overload": {"plan": None, "slowpath": False,
                  "admission": "queue-depth"},
+    "e2e-crc": {"plan": None, "slowpath": False, "admission": None,
+                "e2e_crc": True},
 }
 
 
@@ -41,6 +43,8 @@ def _build(spec):
         kwargs["fault_plan"] = FaultPlan.named(spec["plan"], seed=1)
     if spec["admission"] is not None:
         kwargs["admission"] = spec["admission"]
+    if spec.get("e2e_crc"):
+        kwargs["e2e_crc"] = True
     system = System(copier_kwargs=kwargs)
     store = KVStore(system, name="oracle-store",
                     queue_capacity=64 if spec["admission"] else 2048)

@@ -185,6 +185,25 @@ def test_shutdown_force_reaps_wedged_work():
     assert setup.aspace.pins_outstanding() == 0
 
 
+@pytest.mark.parametrize("ingested", [False, True])
+def test_shutdown_executes_lazy_copy_inside_its_lazy_period(ingested):
+    # A lazy copy only waiting out its lazy period is work the drain
+    # must run, not a wedge to force-reap — whether the worker has
+    # already ingested it or it still sits in the submission ring.
+    setup = Setup()
+    src, dst = _buffers(setup)
+    drive(setup.client.amemcpy(dst, src, 8192, lazy=True))
+    if ingested:
+        while not setup.client.pending:
+            setup.env.step(max_cycles=1000)
+    report = setup.service.shutdown()
+    assert report["drained"]
+    assert report["force_reaped"] == 0
+    assert report["leaked_pins"] == 0
+    assert report["cycles"] < setup.service.lazy_period_cycles
+    assert setup.aspace.read(dst, 8192) == setup.aspace.read(src, 8192)
+
+
 def test_snapshot_carries_lifecycle_section(setup):
     snap = setup.service.stats_snapshot()
     lc = snap["lifecycle"]

@@ -3,7 +3,10 @@ fixed-seed two-run determinism contract (identical promotion order,
 shard maps and sim counters — including across a forced primary kill).
 """
 
-from repro.fleet import Fleet
+import pytest
+
+from repro.fleet import Fleet, MessageTooLarge
+from repro.fleet.interconnect import LinkFaultPlan
 
 VALUE = 6000
 
@@ -132,3 +135,27 @@ def test_snapshot_shape():
     assert snap["ops"]["acked"] == 1
     assert snap["gfd"]["view_id"] == 0
     assert snap["nodes"][0]["copier"]["rounds"] >= 0
+
+
+# Largest value one message carries with a 1-byte key: MAX_MSG less the
+# 15-byte encode_msg framing, less the 8-byte in-payload version header
+# when the lossy link plan arms the reliable transport.
+@pytest.mark.parametrize("armed, largest", [(False, 65520), (True, 65512)])
+def test_value_too_large_for_one_message_is_rejected_at_submit(
+        monkeypatch, armed, largest):
+    monkeypatch.delenv("COPIER_LINK_FAULT_PLAN", raising=False)
+    fleet = Fleet(n_nodes=2, link_fault_plan=(
+        LinkFaultPlan.named("mixed", 1) if armed else None))
+    key = b"k"
+    fits = fleet.set(key, b"x" * largest)
+    fleet.run_ops([fits])
+    assert fits.acked
+    get = fleet.get(key)
+    fleet.run_ops([get])
+    assert get.result == b"x" * largest
+    submitted = fleet.ops_submitted
+    for size in (largest + 1, 64 * 1024):
+        with pytest.raises(MessageTooLarge):
+            fleet.set(key, b"y" * size)
+    assert fleet.ops_submitted == submitted
+    assert fleet.leaked_pins() == 0

@@ -89,3 +89,31 @@ def test_fleet_driver_rejects_duplicate_sessions_and_bad_hello():
         assert server.rejected_conns == 1
 
     asyncio.run(go())
+
+
+def test_fleet_redis_answers_oversized_set_with_an_error_reply():
+    async def go():
+        fleet = Fleet(n_nodes=2)
+        driver = FleetDriver(fleet)
+        server = FleetRedisServer(fleet, driver, max_conns=2)
+        async with driver:
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(encode_hello(0))
+            big = 64 * 1024
+            status, data = await _request(
+                reader, writer, encode_set(b"big", big) + b"b" * big)
+            assert status == b"!" and data == b""
+            # The connection survives the rejection.
+            value = b"v" * VALUE
+            status, _ = await _request(
+                reader, writer, encode_set(b"ok", VALUE) + value)
+            assert status == b"+"
+            status, data = await _request(reader, writer, encode_get(b"ok"))
+            assert status == b"+" and data == value
+            writer.close()
+            await server.stop()
+        assert fleet.ops_submitted == 2
+        assert fleet.leaked_pins() == 0
+
+    asyncio.run(go())
