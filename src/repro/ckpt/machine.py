@@ -295,15 +295,7 @@ def _serialize_trace(service):
         "thread_wakes": agg.thread_wakes,
         "slept_cycles": agg.slept_cycles,
         "rounds": agg.rounds,
-        "engine_fallbacks": agg.engine_fallbacks,
-        "fallback_bytes": agg.fallback_bytes,
-        "faults_injected": dict(agg.faults_injected),
-        "shed_tasks": agg.shed_tasks,
-        "shed_bytes": agg.shed_bytes,
-        "admission_rejects": agg.admission_rejects,
         "watchdog_alerts": dict(agg.watchdog_alerts),
-        "processes_reaped": agg.processes_reaped,
-        "drains": agg.drains,
         "events_seen": agg.events_seen,
     }
 
@@ -618,15 +610,7 @@ def _restore_copier(system, cp, trace_data, asid_map):
     agg.thread_wakes = trace_data["thread_wakes"]
     agg.slept_cycles = trace_data["slept_cycles"]
     agg.rounds = trace_data["rounds"]
-    agg.engine_fallbacks = trace_data["engine_fallbacks"]
-    agg.fallback_bytes = trace_data["fallback_bytes"]
-    agg.faults_injected = dict(trace_data["faults_injected"])
-    agg.shed_tasks = trace_data["shed_tasks"]
-    agg.shed_bytes = trace_data["shed_bytes"]
-    agg.admission_rejects = trace_data["admission_rejects"]
     agg.watchdog_alerts = dict(trace_data["watchdog_alerts"])
-    agg.processes_reaped = trace_data["processes_reaped"]
-    agg.drains = trace_data["drains"]
     agg.events_seen = trace_data["events_seen"]
     return svc
 

@@ -33,8 +33,7 @@ class SourceSpan:
             ", absorbed" if self.absorbed else "")
 
 
-def resolve_sources(pending, reader_task, region, enabled=True, _depth=0,
-                    _absorbed=False):
+def resolve_sources(pending, reader_task, region, enabled=True):
     """Resolve ``region`` (a source range of ``reader_task``) into spans.
 
     ``pending`` is the client's merged pending-task list; only tasks
@@ -44,12 +43,36 @@ def resolve_sources(pending, reader_task, region, enabled=True, _depth=0,
     Different slices of the region may be fed by different producers
     (e.g. a gather of several async copies into one buffer): slices not
     covered by the nearest producer are re-resolved recursively.
+
+    The spans are read *now*: use :func:`resolve_round_sources` when they
+    are read later, after other tasks of a dispatcher round have run.
     """
+    return _resolve(pending, reader_task, reader_task, region, enabled, (),
+                    0, False)
+
+
+def resolve_round_sources(pending, reader_task, region, round_tasks,
+                          enabled=True):
+    """:func:`resolve_sources` for a dispatcher round, planned up front.
+
+    ``round_tasks`` (in merged order) run in the round ahead of any later
+    reader, so one ordered between a producer and ``reader_task``
+    overwrites part of the producer's source before the read.  Those
+    bytes are never absorbed: they are read from the producer's
+    destination instead, which the producer (forced into the round by
+    that task's WAR hazard) has written by then.
+    """
+    return _resolve(pending, reader_task, reader_task, region, enabled,
+                    round_tasks, 0, False)
+
+
+def _resolve(pending, reader, final_reader, region, enabled, round_tasks,
+             depth, absorbed):
     direct = [SourceSpan(region.aspace, region.start, region.length,
-                         _absorbed)]
-    if not enabled or _depth > 64:
+                         absorbed)]
+    if not enabled or depth > 64:
         return direct
-    producer = _nearest_producer(pending, reader_task, region)
+    producer = _nearest_producer(pending, reader, region)
     if producer is None:
         return direct
 
@@ -66,9 +89,9 @@ def resolve_sources(pending, reader_task, region, enabled=True, _depth=0,
             else:
                 chunk = end - cursor
             slice_region = type(region)(region.aspace, cursor, chunk)
-            spans.extend(resolve_sources(
-                pending, reader_task, slice_region, enabled=enabled,
-                _depth=_depth + 1, _absorbed=_absorbed))
+            spans.extend(_resolve(pending, reader, final_reader,
+                                  slice_region, enabled, round_tasks,
+                                  depth + 1, absorbed))
             cursor += chunk
             continue
         # Inside the producer's destination: consult its descriptor.
@@ -77,20 +100,32 @@ def resolve_sources(pending, reader_task, region, enabled=True, _depth=0,
         seg_start = producer.dst.start + seg_index * producer.descriptor.segment_bytes
         seg_end = min(seg_start + producer.descriptor.segment_bytes, producer.dst.end)
         chunk = min(end, seg_end) - cursor
-        if producer.descriptor.is_ready(seg_index):
-            # Freshest data already lives in the intermediate buffer.
-            spans.append(SourceSpan(region.aspace, cursor, chunk, _absorbed))
+        src_region = None if producer.descriptor.is_ready(seg_index) else \
+            type(region)(producer.src.aspace,
+                         producer.src.start + offset_in_producer, chunk)
+        if src_region is None or _overwritten(round_tasks, producer,
+                                              final_reader, src_region):
+            # Freshest data already lives in (or will have been written
+            # to) the intermediate buffer.
+            spans.append(SourceSpan(region.aspace, cursor, chunk, absorbed))
         else:
             # Absorb: read straight from the producer's source, recursing
             # through deeper chains (A may itself be fed by a pending task).
-            src_va = producer.src.start + offset_in_producer
-            sub_region = type(region)(producer.src.aspace, src_va, chunk)
-            sub_spans = resolve_sources(
-                pending, producer, sub_region, enabled=enabled,
-                _depth=_depth + 1, _absorbed=True)
-            spans.extend(sub_spans)
+            spans.extend(_resolve(pending, producer, final_reader,
+                                  src_region, enabled, round_tasks,
+                                  depth + 1, True))
         cursor += chunk
     return _coalesce(spans)
+
+
+def _overwritten(round_tasks, producer, reader, region):
+    """True when a round task ordered between ``producer`` and ``reader``
+    writes ``region`` (part of the producer's source) before the read."""
+    if not round_tasks:
+        return False
+    lo, hi = producer.order_key, reader.order_key
+    return any(lo < t.order_key < hi and t.dst.overlaps(region)
+               for t in round_tasks)
 
 
 def _nearest_producer(pending, reader_task, region):

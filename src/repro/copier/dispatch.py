@@ -8,7 +8,8 @@ AVX work so both units finish together — DMA riding piggyback on the AVX
 copy instead of the CPU waiting for it.
 """
 
-from repro.copier.absorption import absorbed_bytes, resolve_sources
+from repro.copier.absorption import absorbed_bytes, resolve_round_sources
+from repro.copier.task import Region
 from repro.mem.faults import MemoryFault
 from repro.mem.phys import PAGE_SIZE
 
@@ -80,6 +81,24 @@ class RoundPlan:
         return self.avx_bytes + self.dma_bytes
 
 
+def _races(run, jobs):
+    """True when a job of another task reads or writes bytes that ``run``
+    writes, or writes bytes that ``run`` reads."""
+    for job in run.jobs:
+        dst = job.task.dst_range_of_segment(job.seg_index)
+        span = job.spans[0]
+        src = Region(span.aspace, span.va, span.nbytes)
+        for other in jobs:
+            if other.task is job.task:
+                continue
+            other_dst = other.task.dst_range_of_segment(other.seg_index)
+            if (other_dst.overlaps(dst) or other_dst.overlaps(src)
+                    or any(Region(s.aspace, s.va, s.nbytes).overlaps(dst)
+                           for s in other.spans)):
+                return True
+    return False
+
+
 class Dispatcher:
     """Builds round plans from a client's pending list."""
 
@@ -140,8 +159,8 @@ class Dispatcher:
         if head is None:
             return None
 
-        tasks = self._lazy_prerequisites(pending, head)
-        tasks.append(head)
+        prereqs = self._lazy_prerequisites(pending, head)
+        tasks = prereqs + [head]
         mode = "i-piggyback" if head.length >= params.i_piggyback_threshold \
             else "e-piggyback"
         if mode == "e-piggyback":
@@ -154,8 +173,10 @@ class Dispatcher:
                 if budget <= 0:
                     break
                 region = task.src_range_of_segment(seg_index)
-                spans = resolve_sources(
-                    pending, task, region, enabled=self.use_absorption
+                # Only prerequisites run ahead of a reader in this round.
+                spans = resolve_round_sources(
+                    pending, task, region, prereqs,
+                    enabled=self.use_absorption
                 )
                 job = SegmentJob(task, seg_index, spans)
                 jobs.append(job)
@@ -166,6 +187,13 @@ class Dispatcher:
             return RoundPlan(tasks, [], [], mode)
 
         dma_runs = self._assign_dma(jobs) if self.dma_available else []
+        if prereqs:
+            # A DMA run overlaps the whole AVX stream, so a run touching
+            # bytes another round task touches would break the program
+            # order a lazy prerequisite exists to keep: run it on AVX.
+            # (Without prerequisites no two round tasks conflict: fused
+            # followers depend on no unfinished task.)
+            dma_runs = [r for r in dma_runs if not _races(r, jobs)]
         dma_job_ids = {id(j) for run in dma_runs for j in run.jobs}
         avx_jobs = [j for j in jobs if id(j) not in dma_job_ids]
 

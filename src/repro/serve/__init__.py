@@ -4,15 +4,17 @@ Layering::
 
     bench/async_load.py      real-socket closed-loop load generator
     serve/frontends.py       RedisSocketServer / MemcachedSocketServer
+    serve/fleetfront.py      FleetRedisServer + FleetClock: a fleet as a clock
     serve/facade.py          AsyncCopier — await amemcpy/csync/acancel
-    serve/driver.py          SimDriver + AsyncSession + PendingOp
+    serve/driver.py          SimDriver (steps an Environment or a FleetClock)
+                             + AsyncSession + PendingOp
     serve/pacing.py          free / ratio / gate pacing policies
     sim/engine.py            Environment.step() — the cooperative seam
 """
 
 from repro.serve.driver import AsyncSession, PendingOp, ServeStats, SimDriver
 from repro.serve.facade import AsyncCopier
-from repro.serve.fleetfront import FleetDriver, FleetRedisServer
+from repro.serve.fleetfront import FleetClock, FleetRedisServer
 from repro.serve.frontends import (
     MemcachedSocketServer,
     RedisSocketServer,
@@ -30,7 +32,7 @@ from repro.serve.pacing import (
 __all__ = [
     "AsyncCopier",
     "AsyncSession",
-    "FleetDriver",
+    "FleetClock",
     "FleetRedisServer",
     "FreeRunning",
     "LockstepGate",

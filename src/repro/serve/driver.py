@@ -1,25 +1,26 @@
 """The asyncio ↔ simulator bridge: SimDriver, sessions, and staged ops.
 
-One :class:`SimDriver` coroutine owns the simulator and is the *only*
-code that steps it; every other coroutine interacts with the sim through
-:class:`~repro.serve.facade.AsyncCopier`, which wraps each request in a
-:class:`PendingOp` — a simulator generator plus an asyncio future.  The
-driver spawns the generator into the sim and the future resolves from
-*inside* sim execution (a task's ``on_retire`` hook, or the generator
-finishing), so a parked coroutine wakes exactly when its simulated
+One :class:`SimDriver` coroutine owns a simulated clock — one machine's
+``Environment``, or a fleet's :class:`~repro.serve.fleetfront.FleetClock`
+— and is the *only* code that steps it.  Every other coroutine reaches
+the sim through :meth:`SimDriver.call`, which wraps a request in a
+:class:`PendingOp` — a ``start(name)`` that launches the operation in
+the sim, plus an asyncio future.  The future resolves from *inside* sim
+execution (a task's ``on_retire`` hook, a generator finishing, a fleet
+op settling), so a parked coroutine wakes exactly when its simulated
 operation completes.  Everything runs on one event loop: there are no
 threads and no locks, only turn-taking between the driver and the
 serving coroutines.
 
 Sessions make the deterministic ``gate`` pacing policy possible.  A
 connection handler registers an :class:`AsyncSession` and then tells the
-driver what it is blocked on: parked on a sim op (the facade marks
-this), or waiting for the outside world (wrap socket awaits in
+driver what it is blocked on: parked on a sim op (:meth:`SimDriver.call`
+marks this), or waiting for the outside world (wrap socket awaits in
 :meth:`AsyncSession.external`).  The gate advances the sim only when
-every live session is parked on an *unresolved* op, then injects the
+every live session is parked on an *unresolved* op, then starts the
 staged batch in sorted ``(session key, seq)`` order — wall-clock arrival
 order stops mattering, and simulated counters become run-to-run
-deterministic for closed-loop workloads.
+deterministic for closed-loop workloads, on one machine or a fleet.
 
 Driver health is exported through :meth:`SimDriver.snapshot`, surfaced
 as ``stats_snapshot()["serve"]`` on the attached copier service and
@@ -90,13 +91,14 @@ class AsyncSession:
 
 
 class PendingOp:
-    """A sim generator wired to the asyncio future awaiting its outcome."""
+    """A sim operation's ``start(name)`` wired to the asyncio future
+    awaiting its outcome."""
 
-    __slots__ = ("key", "factory", "future", "session", "kind")
+    __slots__ = ("key", "start", "future", "session", "kind")
 
-    def __init__(self, key, factory, future, session, kind):
+    def __init__(self, key, start, future, session, kind):
         self.key = key
-        self.factory = factory
+        self.start = start
         self.future = future
         self.session = session
         self.kind = kind
@@ -121,15 +123,16 @@ class ServeStats:
 
 
 class SimDriver:
-    """The asyncio task that steps the simulator under a pacing policy.
+    """The asyncio task that steps a simulated clock under a pacing policy.
 
     Construct from a :class:`~repro.kernel.system.System` (binds its env
     and copier service, and registers itself as ``service.serve_driver``
     so driver stats ride along in ``stats_snapshot()``), or from a bare
-    ``env`` for engine-level tests.  Run it as a task (``async with
-    driver:`` manages one), submit work through an
-    :class:`~repro.serve.facade.AsyncCopier`, and :meth:`stop` it when
-    the serving frontends wind down.
+    ``env``: an ``Environment`` for engine-level tests, or a
+    :class:`~repro.serve.fleetfront.FleetClock` to serve a fleet.  Run
+    it as a task (``async with driver:`` manages one), submit work
+    through :meth:`call` (or an :class:`~repro.serve.facade.AsyncCopier`),
+    and :meth:`stop` it when the serving frontends wind down.
     """
 
     def __init__(self, system=None, env=None, service=None, pacing=None,
@@ -186,11 +189,29 @@ class SimDriver:
 
     # ----------------------------------------------------------- submission
 
+    async def call(self, start, future, session, kind):
+        """Park ``session`` on a sim op until ``future`` resolves; the
+        pacing policy decides when ``start(name)`` launches the op."""
+        key = ((), self.stats.ops_submitted) if session is None else \
+            (session.key, session.next_seq())
+        op = PendingOp(key, start, future, session, kind)
+        if session is not None:
+            session.state = PARKED
+            session.waiting = op
+        self.submit(op)
+        try:
+            return await future
+        finally:
+            if session is not None and session.waiting is op:
+                session.waiting = None
+                if session.state == PARKED:
+                    session.state = RUNNING
+
     def submit(self, op):
-        """Accept a :class:`PendingOp` from the facade.
+        """Accept a :class:`PendingOp`.
 
         Deterministic pacing stages the op for the next gate round;
-        otherwise it is spawned into the sim immediately.
+        otherwise it is started in the sim immediately.
         """
         self.stats.ops_submitted += 1
         op.future.add_done_callback(self._op_resolved)
@@ -205,8 +226,7 @@ class SimDriver:
 
     def _spawn(self, op):
         self._op_counter += 1
-        self.env.spawn(op.factory(),
-                       name="serve-%s-%d" % (op.kind, self._op_counter))
+        op.start("serve-%s-%d" % (op.kind, self._op_counter))
 
     def kick(self):
         """Wake the driver loop (new work, or a gate condition change)."""

@@ -9,8 +9,8 @@ from``::
     await copier.csync(dst, nbytes, session=sess)
 
 Each call builds a simulator generator plus an asyncio future, hands the
-pair to the driver as a :class:`~repro.serve.driver.PendingOp`, and
-parks the caller on the future:
+pair to :meth:`~repro.serve.driver.SimDriver.call`, and parks the caller
+on the future:
 
 * ``amemcpy`` resolves at *task retirement* via the task's ``on_retire``
   hook — ``done``/``shed`` deliver the task, every other outcome raises
@@ -38,7 +38,6 @@ from repro.fleet.errors import FleetError
 from repro.mem.errors import MemoryLifecycleError
 from repro.mem.faults import MemoryFault
 from repro.mem.phys import OutOfMemory
-from repro.serve.driver import PARKED, RUNNING, PendingOp
 
 #: The simulated kernel/copier failure surface an op generator may raise.
 #: These are *results* of the submitted operation and belong in its
@@ -154,7 +153,7 @@ class AsyncCopier:
     # -------------------------------------------------------------- plumbing
 
     async def _submit(self, factory, future, session, resolve_on_exit, kind):
-        driver = self.driver
+        env = self.driver.env
 
         def wrapped():
             try:
@@ -172,19 +171,6 @@ class AsyncCopier:
             if resolve_on_exit and not future.done():
                 future.set_result(value)
 
-        if session is not None:
-            key = (session.key, session.next_seq())
-        else:
-            key = ((), driver.stats.ops_submitted)
-        op = PendingOp(key, wrapped, future, session, kind)
-        if session is not None:
-            session.state = PARKED
-            session.waiting = op
-        driver.submit(op)
-        try:
-            return await future
-        finally:
-            if session is not None and session.waiting is op:
-                session.waiting = None
-                if session.state == PARKED:
-                    session.state = RUNNING
+        return await self.driver.call(
+            lambda name: env.spawn(wrapped(), name=name), future, session,
+            kind)

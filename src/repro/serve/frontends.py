@@ -88,11 +88,14 @@ class _SocketFrontend:
             writer.close()
             return
         cid = int.from_bytes(hello, "little")
-        if cid >= self.max_conns or ("conn", cid) in self.driver._sessions:
+        try:
+            if cid >= self.max_conns:
+                raise ValueError("hello id %d out of range" % cid)
+            session = self.driver.session(("conn", cid))
+        except ValueError:
             self.rejected_conns += 1
             writer.close()
             return
-        session = self.driver.session(("conn", cid))
         try:
             await self._serve(session, cid, reader, writer)
         finally:

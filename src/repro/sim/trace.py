@@ -385,15 +385,7 @@ class StageAggregator:
         self.thread_wakes = 0
         self.slept_cycles = 0
         self.rounds = 0
-        self.engine_fallbacks = 0
-        self.fallback_bytes = 0
-        self.faults_injected = {}
-        self.shed_tasks = 0
-        self.shed_bytes = 0
-        self.admission_rejects = 0
         self.watchdog_alerts = {}
-        self.processes_reaped = 0
-        self.drains = 0
         self.events_seen = 0
         self._submitted = {}
         self._ingested = {}
@@ -407,15 +399,10 @@ class StageAggregator:
             TaskFinished: self._on_finished,
             ThreadSleep: self._on_sleep,
             ThreadWake: self._on_wake,
-            EngineFallback: self._on_fallback,
-            FaultInjected: self._on_fault,
             TaskShed: self._on_shed,
-            AdmissionRejected: self._on_reject,
             WatchdogStall: self._on_watchdog,
             WatchdogStarvation: self._on_watchdog,
             WatchdogQuarantine: self._on_watchdog,
-            ProcessReaped: self._on_process_reaped,
-            ServiceDrained: self._on_drained,
         }
         if bus is not None:
             bus.subscribe(self)
@@ -468,31 +455,12 @@ class StageAggregator:
         self.thread_wakes += 1
         self.slept_cycles += event.slept_cycles
 
-    def _on_fallback(self, event):
-        self.engine_fallbacks += 1
-        self.fallback_bytes += event.nbytes
-
-    def _on_fault(self, event):
-        kind = event.fault_kind
-        self.faults_injected[kind] = self.faults_injected.get(kind, 0) + 1
-
     def _on_shed(self, event):
-        self.shed_tasks += 1
-        self.shed_bytes += event.nbytes
         self.outcomes["shed"] = self.outcomes.get("shed", 0) + 1
-
-    def _on_reject(self, event):
-        self.admission_rejects += 1
 
     def _on_watchdog(self, event):
         kind = event.kind
         self.watchdog_alerts[kind] = self.watchdog_alerts.get(kind, 0) + 1
-
-    def _on_process_reaped(self, event):
-        self.processes_reaped += 1
-
-    def _on_drained(self, event):
-        self.drains += 1
 
     # -------------------------------------------------------------- export
 
@@ -506,15 +474,7 @@ class StageAggregator:
             "threads": {"sleeps": self.thread_sleeps,
                         "wakes": self.thread_wakes,
                         "slept_cycles": self.slept_cycles},
-            "engine_fallbacks": self.engine_fallbacks,
-            "fallback_bytes": self.fallback_bytes,
-            "faults_injected": dict(self.faults_injected),
-            "shed_tasks": self.shed_tasks,
-            "shed_bytes": self.shed_bytes,
-            "admission_rejects": self.admission_rejects,
             "watchdog_alerts": dict(self.watchdog_alerts),
-            "processes_reaped": self.processes_reaped,
-            "drains": self.drains,
             "in_flight": len(self._submitted),
             "events": self.events_seen,
         }

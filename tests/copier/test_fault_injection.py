@@ -128,7 +128,6 @@ class TestFaultedWorkloads:
         assert rec["engine_fallbacks"] >= 1
         assert rec["retries_ok"] >= 1
         assert sum(snap["faults"]["injected"].values()) >= 1
-        assert snap["stages"]["engine_fallbacks"] == rec["engine_fallbacks"]
 
     @pytest.mark.parametrize("kind",
                              [k for k in FAULT_KINDS

@@ -113,13 +113,32 @@ def test_random_programs_match_reference(ops):
         assert got == expected[i], "buffer %d diverged (ops=%r)" % (i, ops)
 
 
-def test_regression_transitive_lazy_war_chain():
-    """Found by the property test below: head's lazy WAR prerequisite had
-    its own WAR hazard on an even earlier lazy task, which the dispatcher
-    skipped (prerequisites must close transitively)."""
-    ops = [("copy", 1, 2, 0, 1), ("copy", 0, 1, 1, 1),
-           ("copy", 0, 1, 0, 1), ("copy", 1, 0, 0, 1)]
-    _run_lazy_variant(ops, seed=0)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ops", [
+    [("copy", 1, 2, 0, 1), ("copy", 0, 1, 1, 1),
+     ("copy", 0, 1, 0, 1), ("copy", 1, 0, 0, 1)],
+    [("copy", 0, 1, 0, 1), ("copy", 0, 2, 0, 1),
+     ("copy", 3, 0, 0, 1), ("copy", 1, 0, 0, 1)],
+    [("copy", 0, 1, 0, 6498), ("copy", 2, 0, 0, 7168)],
+], ids=["transitive-war", "overwritten-source", "dma-war"])
+def test_regression_transitive_lazy_war_chain(ops, seed):
+    """Found by the property test below.
+
+    ``transitive-war``: head's lazy WAR prerequisite had its own WAR
+    hazard on an even earlier lazy task, which the dispatcher skipped
+    (prerequisites must close transitively).
+
+    ``overwritten-source``: one round runs lazy 0→1, lazy 3→0 and 1→0.
+    The last task's source was absorbed from buffer 0 at plan time, but
+    3→0 rewrites buffer 0 earlier in the same round (absorbing through a
+    producer is valid only if no task between it and the reader writes
+    the absorbed bytes first).
+
+    ``dma-war``: one round runs lazy 0→1 and its WAR dependent 2→0.  The
+    dependent's DMA run overwrote buffer 0 while the prerequisite's AVX
+    copy was still reading it.
+    """
+    _run_lazy_variant(ops, seed)
 
 
 @settings(max_examples=25, deadline=None,
