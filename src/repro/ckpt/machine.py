@@ -401,8 +401,8 @@ def checkpoint(system, stores=(), deadline=None):
         "phys": {
             "data": system.phys.snapshot_frames(),
             "refcount": dict(system.phys._refcount),
-            "free": list(system.phys._free),
-            "free_sorted": system.phys._free_sorted,
+            "free": system.phys.free_list(),
+            "free_sorted": system.phys.free_list_sorted(),
             "alloc_parity": system.phys._alloc_parity,
         },
         "cache": {"pollution": dict(system.cache._pollution)},
@@ -697,8 +697,7 @@ def restore(source, resume=True):
     phys = system.phys
     phys.load_frames(p["phys"]["data"])
     phys._refcount = dict(p["phys"]["refcount"])
-    phys._free = list(p["phys"]["free"])
-    phys._free_sorted = p["phys"]["free_sorted"]
+    phys.load_free_list(p["phys"]["free"], p["phys"]["free_sorted"])
     phys._alloc_parity = p["phys"]["alloc_parity"]
     system.cache._pollution = dict(p["cache"]["pollution"])
     asid_map = {}

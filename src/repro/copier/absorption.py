@@ -129,10 +129,10 @@ def _overwritten(round_tasks, producer, reader, region):
 
 
 def _nearest_producer(pending, reader_task, region):
-    for other in pending.earlier_than(reader_task):
-        if other.is_finished:
-            continue
-        if region.overlaps(other.dst):
+    if not pending.has_earlier(reader_task):
+        return None
+    for other in pending.earlier(reader_task, pending.index.writers(region)):
+        if not other.is_finished:
             return other
     return None
 

@@ -39,6 +39,7 @@ unsaturated, so an idle machine behaves exactly as before.
 """
 
 import os
+from itertools import chain
 
 #: Admission decisions returned by :meth:`AdmissionPolicy.decide`.
 ADMIT = "admit"
@@ -293,14 +294,11 @@ class AdmissionController:
         except SegmentationFault:
             # Let the normal ingest path drop it and signal the process.
             return False
-        for earlier in client.task_index:
-            if earlier.is_finished:
-                continue
-            if (earlier.dst.overlaps(task.src)
-                    or earlier.dst.overlaps(task.dst)
-                    or earlier.src.overlaps(task.dst)):
-                return False
-        return True
+        index = client.task_index
+        return all(earlier.is_finished
+                   for earlier in chain(index.writers(task.src),
+                                        index.writers(task.dst),
+                                        index.readers(task.dst)))
 
     def snapshot(self):
         return dict(self.stats.as_dict(), policy=self.policy.name)

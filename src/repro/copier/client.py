@@ -77,8 +77,10 @@ class CopierClient:
         self.k_queues = ClientQueues(queue_capacity, self.name + "-k")
         self.barriers = BarrierBookkeeping(self.u_queues.copy)
         self.pending = PendingTasks()
+        #: Every submitted task until a prune drops it after it finished:
+        #: the interval index all region queries go through.
+        self.task_index = self.pending.index
         self.desc_pool = DescriptorPool(self.segment_bytes)
-        self.task_index = []  # submitted tasks for csync address lookup
         self.stats = ClientStats()
         self.outstanding_bytes = 0  # admitted async bytes not yet retired
         self.sigsegv_handler = None  # default: kill the attached process
@@ -193,7 +195,7 @@ class CopierClient:
             queue.publish(position, task)
         if len(self.task_index) >= self.INDEX_CAP:
             self._prune_index(force=True)
-        self.task_index.append(task)
+        self.task_index.add(task)
         self.stats.submitted += 1
         self.outstanding_bytes += src.length
         trace = self.service.trace
@@ -237,7 +239,7 @@ class CopierClient:
         task.completed_at = self.env.now
         if len(self.task_index) >= self.INDEX_CAP:
             self._prune_index(force=True)
-        self.task_index.append(task)
+        self.task_index.add(task)
         self.stats.shed_tasks += 1
         self.stats.shed_bytes += task.length
         overload = self.service.admission.stats
@@ -277,14 +279,13 @@ class CopierClient:
 
     def _mark_cancelled(self, region, queue_kind=None):
         count = 0
-        for task in self.task_index:
+        for task in self.task_index.writers(region):
             if task.is_finished or task.cancelled:
                 continue
             if queue_kind is not None and task.queue_kind != queue_kind:
                 continue
-            if task.dst.overlaps(region):
-                task.cancelled = True
-                count += 1
+            task.cancelled = True
+            count += 1
         return count
 
     def _acquire_slot(self, queue):
@@ -312,31 +313,23 @@ class CopierClient:
 
     # ----------------------------------------------------------------- csync
 
-    def tasks_overlapping(self, region, queue_kind=None):
-        out = []
-        for task in self.task_index:
-            if queue_kind is not None and task.queue_kind != queue_kind:
-                continue
-            if task.dst.overlaps(region):
-                out.append(task)
-        return out
-
     def _range_ready(self, region):
         """True when ``region``'s bytes, per their *newest* covering tasks,
         have landed.
 
         Buffers are recycled, so older tasks on the same addresses are
-        superseded byte-by-byte by newer submissions: walk the index newest
-        first and only consult older tasks for bytes no newer task covers.
-        Raises :class:`CopyAborted` when the deciding copy for some byte
-        was aborted before those bytes arrived.
+        superseded byte-by-byte by newer submissions: walk the tasks writing
+        the region newest first and only consult older tasks for bytes no
+        newer task covers.  Raises :class:`CopyAborted` when the deciding
+        copy for some byte was aborted before those bytes arrived.  With
+        the end-to-end CRC armed, the deciding copies' segments are
+        verified (and repaired) before the range is reported ready.
         """
         remaining = [(region.start, region.start + region.length)]
-        for task in reversed(self.task_index):
+        deciding = []  # (task, segments) whose bytes this csync returns
+        for task in self.task_index.writers(region):
             if not remaining:
-                return True
-            if task.dst.aspace.asid != region.aspace.asid:
-                continue
+                break
             next_remaining = []
             for start, end in remaining:
                 lo = max(start, task.dst.start)
@@ -345,8 +338,8 @@ class CopierClient:
                     next_remaining.append((start, end))
                     continue
                 covered = Region(region.aspace, lo, hi - lo)
-                segs_ready = all(task.descriptor.is_ready(s)
-                                 for s in task.segments_covering(covered))
+                segs = task.segments_covering(covered)
+                segs_ready = all(task.descriptor.is_ready(s) for s in segs)
                 if task.state == task_mod.ABORTED:
                     if not segs_ready:
                         if task.error is not None:
@@ -355,11 +348,15 @@ class CopierClient:
                             "copy covering 0x%x aborted" % lo)
                 elif not segs_ready:
                     return False
+                elif task.crc_expect:
+                    deciding.append((task, segs))
                 if start < lo:
                     next_remaining.append((start, lo))
                 if hi < end:
                     next_remaining.append((hi, end))
             remaining = next_remaining
+        if deciding:
+            self.service.completion.verify_returned(self, deciding)
         return True
 
     def csync(self, va, nbytes, queue_kind="u", deadline=None):
@@ -446,7 +443,7 @@ class CopierClient:
 
     def _prune_index(self, force=False):
         if force or len(self.task_index) > 64:
-            self.task_index = [t for t in self.task_index if not t.is_finished]
+            self.task_index.prune()
 
     # ------------------------------------------------------------- snapshot
 

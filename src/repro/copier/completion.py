@@ -22,7 +22,6 @@ import zlib
 
 from repro.copier import task as task_mod
 from repro.copier.absorption import resolve_sources
-from repro.faultinject import fold_segment_crc
 from repro.mem.faults import MemoryFault
 from repro.sim import Compute
 from repro.sim.trace import IntegrityMismatch, TaskFinished
@@ -66,62 +65,92 @@ class CompletionHandler:
 
     # ------------------------------------------------------------- integrity
 
+    def expect_crc(self, client, task, seg, crc):
+        """Record segment ``seg``'s intended-bytes CRC (``COPIER_E2E_CRC=1``).
+
+        The write supersedes any older task's expectation over the same
+        destination bytes: those bytes are no longer the older task's to
+        check, and re-writing them from its sources would clobber this
+        write.  The superseded segments are dropped (``overlap_skips``).
+        """
+        task.crc_expect[seg] = crc
+        region = task.dst_range_of_segment(seg)
+        key = task.order_key
+        for older in client.task_index.writers(region):
+            expect = older.crc_expect
+            if not expect or older is task or not older.order_key < key:
+                continue
+            dropped = [s for s in older.segments_covering(region)
+                       if expect.pop(s, None) is not None]
+            if dropped:
+                self.service.integrity.overlap_skips += 1
+
+    def verify_returned(self, client, deciding):
+        """Check the segments a csync is about to hand back.
+
+        ``deciding`` lists ``(task, segments)``: the ready segments of the
+        newest copy covering each byte of the csync's range.  A segment
+        still expecting a CRC is verified now — once the client has it,
+        it may rewrite it — repaired on a mismatch, and then left out of
+        the retirement check.
+        """
+        for task, segments in deciding:
+            expect = task.crc_expect
+            if not expect:
+                continue
+            owed = {s: expect.pop(s) for s in segments if s in expect}
+            if owed:
+                self._verify_segments(client, task, owed)
+
     def verify_integrity(self, client, task):
         """End-to-end CRC check at retirement (``COPIER_E2E_CRC=1``).
 
-        ``task.crc_expect`` accumulated the intended bytes of every
-        completed segment (folded order-independently); here — with the
-        pins still held — the destination is re-read and checked.  On a
-        mismatch the engines lied: the task is re-executed synchronously
-        on the CPU from its (re-resolved) sources, and if any segment
-        ran on the DMA engine that engine is quarantined, reusing the
-        persistent-failure quarantine spine.  Repair is per-segment:
-        segments whose destination a newer pending task overlaps are
-        skipped (and counted) — re-executing those would clobber the
-        newer task's bytes, and its own verification covers the range.
+        Checks every segment whose expected CRC is still owed: not handed
+        back by a csync and not superseded by a newer write.  On a
+        mismatch the engines lied: the owed segments are re-executed
+        synchronously on the CPU from their (re-resolved) sources, and if
+        any segment ran on the DMA engine that engine is quarantined,
+        reusing the persistent-failure quarantine spine.
         """
-        if task.crc_expect is None:
+        owed = task.crc_expect
+        if owed is None:
             return
+        self.service.integrity.crc_checks += 1
+        if owed:
+            self._verify_segments(client, task, owed)
+
+    def _verify_segments(self, client, task, owed):
+        """Verify ``owed`` (``{segment: expected crc}``) against the
+        destination; on any mismatch re-write every owed segment."""
         try:
-            self._verify_integrity(client, task)
+            self._check_and_repair(client, task, owed)
         except MemoryFault:
-            # The range was unmapped between the last byte landing and
-            # retirement (the same lifecycle race retire_efault covers
-            # on the write path).  Nothing can read the destination any
-            # more, so there is nothing left to protect — skip.
+            # The range was unmapped between the bytes landing and the
+            # check (the same lifecycle race retire_efault covers on the
+            # write path).  Nothing can read the destination any more,
+            # so there is nothing left to protect — skip.
             pass
 
-    def _verify_integrity(self, client, task):
+    def _check_and_repair(self, client, task, owed):
         service = self.service
         integ = service.integrity
-        integ.crc_checks += 1
         dst_as = task.dst.aspace
-        actual = 0
-        for seg in range(task.descriptor.n_segments):
+        for seg, expected in owed.items():
             region = task.dst_range_of_segment(seg)
             crc = zlib.crc32(bytes(dst_as.read(region.start,
                                                region.length))) & 0xFFFFFFFF
-            actual = fold_segment_crc(actual, seg, crc)
-        if actual == task.crc_expect:
+            if crc != expected:
+                break
+        else:
             return
         integ.crc_mismatches += 1
-        # Synchronous CPU repair: re-resolve the sources (absorption may
-        # still be feeding some spans from an earlier pending task) and
-        # rewrite each segment host-side while the pins are held.  A
-        # segment whose destination a *newer* pending task overlaps is
-        # left alone — re-writing it would clobber the newer task's
-        # bytes, and that task's own verification covers the range.
-        newer = [o for o in client.pending
-                 if (o is not task and not o.is_finished
-                     and o.task_id > task.task_id
-                     and o.dst.overlaps(task.dst))]
+        # Synchronous CPU repair while the pins are held: re-resolve the
+        # sources (absorption may still be feeding some spans from an
+        # earlier pending task) and rewrite each owed segment host-side.
         use_absorption = service.dispatcher.use_absorption
-        repaired_bytes = skipped = 0
-        for seg in range(task.descriptor.n_segments):
+        repaired_bytes = 0
+        for seg in owed:
             dst_region = task.dst_range_of_segment(seg)
-            if any(o.dst.overlaps(dst_region) for o in newer):
-                skipped += 1
-                continue
             src_region = task.src_range_of_segment(seg)
             spans = resolve_sources(client.pending, task, src_region,
                                     enabled=use_absorption)
@@ -131,15 +160,10 @@ class CompletionHandler:
                                                          span.nbytes)))
                 pos += span.nbytes
             repaired_bytes += dst_region.length
-        if skipped:
-            integ.overlap_skips += 1
         trace = service.trace
-        action = "reexec" if repaired_bytes else "overlap-skip"
         if trace.active:
             trace.emit(IntegrityMismatch(service.env.now, task.task_id,
-                                         client.name, task.length, action))
-        if not repaired_bytes:
-            return
+                                         client.name, task.length, "reexec"))
         integ.reexec_tasks += 1
         integ.reexec_bytes += repaired_bytes
         if task.dma_used:
@@ -339,6 +363,7 @@ class CompletionHandler:
         the task's ``on_retire`` hook (exactly once — the async facade
         parks coroutine futures on it)."""
         self.unpin(task)
+        task.crc_expect = None  # nothing left to check once retired
         client.outstanding_bytes = max(0,
                                        client.outstanding_bytes - task.length)
         self.service.tasks_retired += 1

@@ -28,7 +28,6 @@ import zlib
 from repro.copier.absorption import resolve_sources
 from repro.copier.errors import (DMAAbortError, DMASubmitError,
                                  FramePoisonError, PagePinError)
-from repro.faultinject import fold_segment_crc
 from repro.hw.dma import DMASubtask
 from repro.mem.addrspace import copy_range
 from repro.mem.faults import MemoryFault, SegmentationFault
@@ -129,9 +128,10 @@ class CopyExecutor:
             stats.pin_retries_ok += 1
         if self.service.e2e_crc:
             # Arm the end-to-end checksum at prepare: every completed
-            # segment folds its intended-bytes CRC in, and retirement
-            # verifies the destination against the accumulator.
-            task.crc_expect = 0
+            # segment records its intended-bytes CRC, checked when a
+            # csync hands the segment back or, failing that, at
+            # retirement.
+            task.crc_expect = {}
         client.pending.add(task)
         trace = self.service.trace
         if trace.active:
@@ -167,7 +167,7 @@ class CopyExecutor:
         if sync.abort:
             # Only discard copies submitted *before* the abort: buffers are
             # recycled, and a newer task on the same range must survive.
-            for task in client.pending.tasks_writing(sync.region):
+            for task in client.pending.writing(sync.region):
                 if task.task_id < sync.task_id:
                     yield from self.completion.abort_task(client, task)
             return
@@ -190,7 +190,7 @@ class CopyExecutor:
         service = self.service
         if _depth > 16:
             return
-        for task in list(client.pending.tasks_writing(region)):
+        for task in client.pending.writing(region):
             segs = [s for s in task.segments_covering(region)
                     if not task.descriptor.is_ready(s)]
             if not segs:
@@ -231,7 +231,12 @@ class CopyExecutor:
                 continue
             dst_region = task.dst_range_of_segment(seg)
             src_region = task.src_range_of_segment(seg)
-            for earlier in client.pending.earlier_than(task):
+            index = client.task_index
+            candidates = dict.fromkeys(index.readers(dst_region))
+            candidates.update(dict.fromkeys(index.writers(dst_region)))
+            if not service.dispatcher.use_absorption:
+                candidates.update(dict.fromkeys(index.writers(src_region)))
+            for earlier in client.pending.earlier(task, candidates):
                 if earlier.is_finished:
                     continue
                 if earlier.src.overlaps(dst_region):
@@ -444,15 +449,15 @@ class CopyExecutor:
                                                run.jobs[-1].seg_index)
                 run.task.dma_used = True
                 if run.task.crc_expect is not None:
-                    # Fold the intended bytes from the (pinned, still
+                    # Checksum the intended bytes from the (pinned, still
                     # pristine) source — a device that corrupted the
                     # destination cannot also doctor this checksum.
                     for job in run.jobs:
                         src = run.task.src_range_of_segment(job.seg_index)
                         crc = zlib.crc32(bytes(src.aspace.read(
                             src.start, src.length))) & 0xFFFFFFFF
-                        run.task.crc_expect = fold_segment_crc(
-                            run.task.crc_expect, job.seg_index, crc)
+                        self.completion.expect_crc(client, run.task,
+                                                   job.seg_index, crc)
             client.stats.bytes_copied += run.nbytes
             service.scheduler.charge(client, run.nbytes)
             trace = service.trace
@@ -476,14 +481,14 @@ class CopyExecutor:
             # copy_range's alias check).
             span = spans[0]
             if task.crc_expect is not None:
-                task.crc_expect = fold_segment_crc(
-                    task.crc_expect, seg_index,
+                self.completion.expect_crc(
+                    client, task, seg_index,
                     zlib.crc32(bytes(span.aspace.read(
                         span.va, span.nbytes))) & 0xFFFFFFFF)
             if torn:
                 # Silent torn write: half the segment lands, the engine
-                # still reports success below.  Only the E2E CRC at
-                # retirement can tell.
+                # still reports success below.  Only the E2E CRC can
+                # tell.
                 copy_range(span.aspace, span.va, dst_as, dst_region.start,
                            span.nbytes // 2)
             else:
@@ -501,9 +506,8 @@ class CopyExecutor:
                 if span.absorbed:
                     absorbed += span.nbytes
             if task.crc_expect is not None:
-                task.crc_expect = fold_segment_crc(
-                    task.crc_expect, seg_index,
-                    zlib.crc32(data) & 0xFFFFFFFF)
+                self.completion.expect_crc(client, task, seg_index,
+                                           zlib.crc32(data) & 0xFFFFFFFF)
             if torn:
                 dst_as.write(dst_region.start,
                              bytes(view[:dst_region.length // 2]))

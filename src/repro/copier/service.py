@@ -215,7 +215,7 @@ class CopierService:
         client.u_queues.sync.drain()
         client.k_queues.sync.drain()
         seen = set()
-        for task in list(client.pending) + client.task_index:
+        for task in list(client.pending) + list(client.task_index):
             if id(task) in seen:
                 continue
             seen.add(id(task))

@@ -237,24 +237,15 @@ class FaultPlan:
 PLAN_NAMES = ("mixed", "dma_submit_persistent", "integrity") + FAULT_KINDS
 
 
-def fold_segment_crc(acc, seg_index, crc):
-    """Fold one segment's CRC32 into a task-level accumulator.
-
-    XOR makes the fold order-independent (segments complete out of
-    order across AVX and DMA engines); mixing the segment index in
-    first keeps identical payloads at different positions from
-    cancelling out.
-    """
-    return acc ^ ((crc + seg_index * 0x9E3779B1) & 0xFFFFFFFF)
-
-
 class IntegrityStats:
     """Counters for the end-to-end copy-integrity defense.
 
-    ``crc_checks`` / ``crc_mismatches`` count verification at task
+    ``crc_checks`` counts armed tasks checked at retirement and
+    ``crc_mismatches`` the mismatching checks, by a csync or at
     retirement; ``reexec_tasks`` / ``reexec_bytes`` the CPU repairs;
-    ``overlap_skips`` verifications skipped because a newer task's
-    destination overlapped (re-executing would clobber it);
+    ``overlap_skips`` newer writes that dropped an older task's
+    expected CRC over the same bytes (re-executing it would clobber
+    them);
     ``quarantines`` DMA engines benched for corrupting; and
     ``poisoned_tasks`` the loud frame-poison retirements.
     """

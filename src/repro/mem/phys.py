@@ -19,22 +19,25 @@ highest frame ever claimed, so a sparsely-used pool (e.g. 262144 frames
 with a few thousand touched) costs memory proportional to use, not to
 ``n_frames``.
 
-Free-list discipline (sorted prefix)
+Free list (extents plus a LIFO tail)
 ------------------------------------
 
-``_free`` is kept in descending order so ``alloc_frame`` pops the lowest
-frame in O(1).  Frees append; ``_sorted_len`` tracks the length of the
-prefix that is still descending-sorted.  A burst of frees costs O(1)
-each — once the first out-of-order free lands, subsequent frees don't
-even compare (the prefix check short-circuits).  Contiguous allocation
-restores full order only when the discipline shows the list is actually
-dirty, and then with one timsort pass whose run detection consumes the
-sorted prefix as a single run — O(n + k log k) for k frees since the
-last sort, in C; ``sort_work`` accumulates dirty-tail sizes so tests
-can pin the discipline without wall-clock flakiness.  The result is
-element-for-element identical to a full descending sort, so allocation
-semantics are unchanged.
+The free list is one sequence whose last entry ``alloc_frame`` pops.
+It is held as two parts: ``_extents``, maximal runs ``[start, end)`` of
+free frames, highest first, standing for the descending-sorted front of
+the sequence; and ``_tail``, the frames freed out of order since, in
+free order.  A free that keeps the sequence sorted (the lowest free
+frame, under LIFO churn) grows the lowest extent; any other free appends
+to the tail.  ``alloc_frame`` pops the tail's newest frame, otherwise
+the lowest free frame, both O(1).  A contiguous allocation merges the
+tail into the extents (``sort_work`` counts the merged frames, so tests
+can pin the cost without wall-clock flakiness) and takes the lowest
+extent of length >= n — the lowest free run, as a full sort would pick.
+:meth:`PhysicalMemory.free_list` materialises the sequence in the
+historic list order; checkpoints save and restore that order.
 """
+
+from bisect import bisect_right
 
 PAGE_SIZE = 4096
 
@@ -60,10 +63,12 @@ class PhysicalMemory:
         self.fragmented = fragmented
         self._backing = bytearray()
         self._refcount = {}
-        self._free = list(range(n_frames - 1, -1, -1))  # pop() yields frame 0 first
-        self._sorted_len = n_frames  # descending-sorted prefix of _free
+        # Free runs [start, end), highest first: frame 0 is allocated first.
+        self._extents = [[0, n_frames]] if n_frames else []
+        self._tail = []  # frames freed out of order, oldest first
+        self._n_free = n_frames
         self._alloc_parity = 0
-        self.sort_work = 0  # elements sorted by contiguous allocs (perf counter)
+        self.sort_work = 0  # tail frames merged by contiguous allocs
 
     @property
     def frames_in_use(self):
@@ -71,16 +76,39 @@ class PhysicalMemory:
 
     @property
     def frames_free(self):
-        return len(self._free)
+        return self._n_free
 
-    @property
-    def _free_sorted(self):
-        """Back-compat view of the sorted-prefix state (ckpt payload key)."""
-        return self._sorted_len == len(self._free)
+    def free_list(self):
+        """The free list in its historic order: the descending-sorted
+        front, then the out-of-order tail; ``alloc_frame`` pops the last
+        entry."""
+        out = []
+        for start, end in self._extents:
+            out.extend(range(end - 1, start - 1, -1))
+        out.extend(self._tail)
+        return out
 
-    @_free_sorted.setter
-    def _free_sorted(self, value):
-        self._sorted_len = len(self._free) if value else 0
+    def free_list_sorted(self):
+        """True while no out-of-order free is pending (the ckpt payload's
+        ``free_sorted``)."""
+        return not self._tail
+
+    def load_free_list(self, frames, is_sorted):
+        """Restore a :meth:`free_list` image; ``is_sorted`` is
+        :meth:`free_list_sorted` at save time.  An unsorted image comes
+        back as one out-of-order tail: same order, same picks."""
+        frames = list(frames)
+        self._extents = []
+        self._tail = []
+        self._n_free = len(frames)
+        if not is_sorted:
+            self._tail = frames
+            return
+        for frame in frames:  # descending
+            if self._extents and self._extents[-1][0] == frame + 1:
+                self._extents[-1][0] = frame
+            else:
+                self._extents.append([frame, frame + 1])
 
     # ------------------------------------------------------------ backing
 
@@ -104,107 +132,132 @@ class PhysicalMemory:
 
     def alloc_frame(self):
         """Allocate one zeroed frame; returns the frame number."""
-        if not self._free:
+        if not self._n_free:
             raise OutOfMemory("no free frames")
-        if self.fragmented and len(self._free) > 1:
+        if self.fragmented and self._n_free > 1:
             # Alternate between the two ends of the free list to break up
             # physically-contiguous runs.
             self._alloc_parity ^= 1
-            if self._alloc_parity:
-                frame = self._free.pop()
-            else:
-                frame = self._free.pop(0)
-                if self._sorted_len:
-                    self._sorted_len -= 1
+            frame = self._pop_last() if self._alloc_parity else \
+                self._pop_first()
         else:
-            frame = self._free.pop()
-        if self._sorted_len > len(self._free):
-            self._sorted_len = len(self._free)
+            frame = self._pop_last()
         self._claim(frame)
         return frame
+
+    def _pop_last(self):
+        """Pop the free list's last entry: the newest out-of-order free,
+        otherwise the lowest free frame."""
+        self._n_free -= 1
+        if self._tail:
+            return self._tail.pop()
+        lowest = self._extents[-1]
+        frame = lowest[0]
+        lowest[0] = frame + 1
+        if lowest[0] == lowest[1]:
+            self._extents.pop()
+        return frame
+
+    def _pop_first(self):
+        """Pop the free list's first entry: the highest sorted frame,
+        otherwise the oldest out-of-order free."""
+        self._n_free -= 1
+        if not self._extents:
+            return self._tail.pop(0)
+        highest = self._extents[0]
+        highest[1] -= 1
+        if highest[0] == highest[1]:
+            del self._extents[0]
+        return highest[1]
 
     def alloc_frame_in(self, lo, hi):
         """Allocate a zeroed frame with ``lo <= frame < hi``.
 
         Tiered-memory managers use frame-number bands as tiers (low band =
-        fast DRAM, high band = slow CXL/NVM).
+        fast DRAM, high band = slow CXL/NVM).  The free list is scanned
+        from its end: the out-of-order tail newest first, then the sorted
+        frames lowest first.
         """
-        for i in range(len(self._free) - 1, -1, -1):
-            frame = self._free[i]
+        tail = self._tail
+        for i in range(len(tail) - 1, -1, -1):
+            frame = tail[i]
             if lo <= frame < hi:
-                self._free.pop(i)
-                if self._sorted_len > i:
-                    self._sorted_len -= 1
+                del tail[i]
+                self._n_free -= 1
+                self._claim(frame)
+                return frame
+        extents = self._extents
+        for i in range(len(extents) - 1, -1, -1):
+            start, end = extents[i]
+            if end > lo and start < hi:
+                frame = max(start, lo)
+                if frame == start:
+                    extents[i][0] = start + 1
+                elif frame == end - 1:
+                    extents[i][1] = frame
+                else:
+                    extents[i:i + 1] = [[frame + 1, end], [start, frame]]
+                if extents[i][0] == extents[i][1]:
+                    del extents[i]
+                self._n_free -= 1
                 self._claim(frame)
                 return frame
         raise OutOfMemory("no free frames in [%d, %d)" % (lo, hi))
 
-    def _resort_free(self):
-        """Restore the full descending order of ``_free``.
-
-        No-op when the sorted-prefix discipline shows the list is still
-        fully ordered (the common case under LIFO churn).  When dirty,
-        one timsort pass: its run detection picks up the sorted prefix
-        as a single run, so the cost is O(n + k log k) for a k-element
-        dirty tail, done entirely in C.  ``sort_work`` accumulates the
-        dirty-tail sizes so tests can pin the discipline without
-        wall-clock flakiness.
-        """
-        free = self._free
-        n = len(free)
-        if self._sorted_len == n:
+    def _merge_tail(self):
+        """Fold every out-of-order free into the extents."""
+        tail = self._tail
+        if not tail:
             return
-        self.sort_work += n - self._sorted_len
-        free.sort(reverse=True)
-        self._sorted_len = n
+        self.sort_work += len(tail)
+        extents = self._extents
+        # Negated starts ascend along the highest-first extent list.
+        keys = [-start for start, _end in extents]
+        for frame in tail:
+            i = bisect_right(keys, -frame)   # first extent below frame
+            above = extents[i - 1] if i else None
+            below = extents[i] if i < len(extents) else None
+            if below is not None and below[1] == frame:
+                below[1] = frame + 1
+                if above is not None and above[0] == frame + 1:
+                    below[1] = above[1]
+                    del extents[i - 1]
+                    del keys[i - 1]
+            elif above is not None and above[0] == frame + 1:
+                above[0] = frame
+                keys[i - 1] = -frame
+            else:
+                extents.insert(i, [frame, frame + 1])
+                keys.insert(i, -frame)
+        tail.clear()
 
     def alloc_frames(self, n, contiguous=False):
         """Allocate ``n`` frames; with ``contiguous=True`` they are adjacent.
 
-        A contiguous allocation picks the *lowest* free run of ``n`` frames
-        and leaves the free list sorted descending (so subsequent single
-        allocations pop the lowest frame) — the historic behaviour, now
-        restored with a tail-sort + merge instead of a full re-sort, and
-        the chosen run removed with one slice deletion (it occupies
-        adjacent positions in the sorted list).
+        A contiguous allocation picks the *lowest* free run of ``n``
+        frames and leaves the free list fully sorted, so subsequent
+        single allocations pop the lowest frame.
         """
         if contiguous:
-            self._resort_free()
-            free = self._free
-            # Scan from the end (ascending frame numbers) for the lowest
-            # run of ``n`` consecutive frames.
-            start_idx = None  # index of the run's lowest frame (highest idx)
-            run_len = 0
-            prev = None
-            idx = len(free) - 1
-            low_idx = None
-            while idx >= 0:
-                frame = free[idx]
-                if run_len and frame == prev + 1:
-                    run_len += 1
-                else:
-                    low_idx = idx
-                    run_len = 1
-                prev = frame
-                if run_len == n:
-                    start_idx = low_idx
-                    break
-                idx -= 1
-            if start_idx is None:
-                raise OutOfMemory("no contiguous run of %d frames" % n)
-            start = free[start_idx]
-            frames = list(range(start, start + n))
-            # Consecutive frames occupy adjacent positions in the
-            # descending-sorted list: one slice removes them all.
-            del free[idx : start_idx + 1]
-            self._sorted_len = len(free)
-            for frame in frames:
-                self._claim(frame)
-            return frames
-        if n > len(self._free):
+            self._merge_tail()
+            extents = self._extents
+            for i in range(len(extents) - 1, -1, -1):
+                start, end = extents[i]
+                if end - start >= n > 0:
+                    if end - start == n:
+                        del extents[i]
+                    else:
+                        extents[i][0] = start + n
+                    self._n_free -= n
+                    frames = list(range(start, start + n))
+                    for frame in frames:
+                        self._claim(frame)
+                    return frames
+            raise OutOfMemory("no contiguous run of %d frames" % n)
+        if n > self._n_free:
             # All-or-nothing: never leave a half-allocated batch behind
             # (a failed mmap must not leak frames).
-            raise OutOfMemory("need %d frames, %d free" % (n, len(self._free)))
+            raise OutOfMemory("need %d frames, %d free" % (n, self._n_free))
         return [self.alloc_frame() for _ in range(n)]
 
     def share_frame(self, frame):
@@ -220,13 +273,16 @@ class PhysicalMemory:
             raise ValueError("double free of frame %d" % frame)
         if count == 1:
             del self._refcount[frame]
-            free = self._free
-            # Extend the sorted prefix only while the whole list is still
-            # sorted AND the freed frame keeps it descending; once dirty,
-            # a free burst appends without even comparing frames.
-            if self._sorted_len == len(free) and (not free or frame < free[-1]):
-                self._sorted_len += 1
-            free.append(frame)
+            self._n_free += 1
+            extents = self._extents
+            # Below every free frame with no out-of-order free pending:
+            # the sorted front grows (LIFO churn); otherwise the tail.
+            if self._tail or (extents and frame >= extents[-1][0]):
+                self._tail.append(frame)
+            elif extents and extents[-1][0] == frame + 1:
+                extents[-1][0] = frame
+            else:
+                extents.append([frame, frame + 1])
         else:
             self._refcount[frame] = count - 1
 

@@ -21,10 +21,9 @@ event               emitted when
                     submit failure or a mid-transfer abort
 ``fault-injected``  the fault-injection layer fired at a site
                     (:mod:`repro.faultinject`)
-``integrity-mismatch`` the end-to-end CRC defense caught corruption at
-                    retirement (``reexec``), declined to repair under a
-                    newer overlapping writer (``overlap-skip``), or a
-                    poisoned frame retired a task loudly (``poisoned``)
+``integrity-mismatch`` the end-to-end CRC defense caught corruption at a
+                    csync or at retirement (``reexec``), or a poisoned
+                    frame retired a task loudly (``poisoned``)
 ``task-shed``       admission control executed a copy synchronously in the
                     submitter's context instead of queueing it
                     (:mod:`repro.copier.admission`)
@@ -263,12 +262,11 @@ class FaultInjected(TraceEvent):
 
 
 class IntegrityMismatch(TraceEvent):
-    """The end-to-end copy-integrity defense caught (or skipped) damage.
+    """The end-to-end copy-integrity defense caught damage.
 
-    ``action`` is ``"reexec"`` (CRC mismatch repaired on the CPU),
-    ``"overlap-skip"`` (verification declined: a newer task's
-    destination overlaps), or ``"poisoned"`` (uncorrectable frame —
-    the task retired loudly with ``TaskPoisoned``).
+    ``action`` is ``"reexec"`` (CRC mismatch repaired on the CPU) or
+    ``"poisoned"`` (uncorrectable frame — the task retired loudly with
+    ``TaskPoisoned``).
     """
 
     kind = "integrity-mismatch"

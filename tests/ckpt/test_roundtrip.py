@@ -185,3 +185,50 @@ def test_restore_from_file_and_bytes(tmp_path):
     from_bytes, (store_b,) = restore(ck.to_bytes())
     assert from_file.env.now == from_bytes.env.now == system.env.now
     assert store_f.digest() == store_b.digest() == store.digest()
+
+
+def _machine_with_dirty_free_list():
+    """A machine whose frame allocator holds out-of-order frees: the
+    lower buffer is unmapped first, so its frames free in ascending
+    order below still-mapped ones."""
+    system = System()
+    proc = system.create_process("frames")
+    bufs = [proc.mmap(8 * 4096, populate=True) for _ in range(3)]
+    proc.aspace.munmap(bufs[0], 8 * 4096)
+    proc.aspace.munmap(bufs[2], 4 * 4096)
+    return system
+
+
+def _next_picks(phys, n=200):
+    """Single and contiguous allocations, with a free of an older pick
+    every seventh step to keep the free list dirty."""
+    picks = []
+    for i in range(n):
+        if i % 3 == 2:
+            picks.append(phys.alloc_frames(1 + i % 5, contiguous=True))
+        else:
+            picks.append([phys.alloc_frame()])
+        if i % 7 == 6:
+            phys.free_frame(picks[i - 3][0])
+    return picks
+
+
+def test_restore_with_pending_out_of_order_frees_picks_the_same_frames():
+    """A checkpoint taken while out-of-order frees are pending restores
+    an allocator that makes the uninterrupted run's picks, and the image
+    keeps the historic phys payload: the free list in pick order plus
+    its sorted flag."""
+    uninterrupted = _machine_with_dirty_free_list()
+    saved = _machine_with_dirty_free_list()
+    assert not saved.phys.free_list_sorted()
+    ck = checkpoint(saved)
+    phys_image = ck.payload["phys"]
+    assert sorted(phys_image) == ["alloc_parity", "data", "free",
+                                  "free_sorted", "refcount"]
+    assert phys_image["free"] == uninterrupted.phys.free_list()
+    assert all(type(f) is int for f in phys_image["free"])
+    assert phys_image["free_sorted"] is False
+    restored, _stores = restore(ck.to_bytes(), resume=False)
+    assert restored.phys.free_list() == uninterrupted.phys.free_list()
+    assert _next_picks(restored.phys) == _next_picks(uninterrupted.phys)
+    assert restored.phys.free_list() == uninterrupted.phys.free_list()

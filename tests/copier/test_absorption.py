@@ -6,6 +6,7 @@ from repro.copier.absorption import absorbed_bytes, resolve_sources
 from repro.copier.deps import PendingTasks, u_order_key
 from repro.copier.descriptor import Descriptor
 from repro.copier.task import CopyTask, Region
+from repro.faultinject import FaultPlan
 from repro.mem import PAGE_SIZE, AddressSpace, PhysicalMemory
 from repro.sim import Timeout
 from tests.copier.conftest import Setup
@@ -161,9 +162,9 @@ def test_proxy_pattern_lazy_absorb_abort():
     assert client.stats.bytes_absorbed >= n - 1024
 
 
-def test_absorption_correct_after_client_modifies_intermediate():
+def _modify_intermediate_program(**service_kwargs):
     """Fig. 8-a's hazard: client modifies part of B between the two copies."""
-    setup = Setup()
+    setup = Setup(**service_kwargs)
     aspace, client = setup.aspace, setup.client
     n = 4 * 1024
     a = aspace.mmap(n, populate=True)
@@ -182,6 +183,24 @@ def test_absorption_correct_after_client_modifies_intermediate():
 
     result = setup.run_process(app())
     assert result == b"M" * 1024 + b"A" * (n - 1024)
+
+
+def test_absorption_correct_after_client_modifies_intermediate():
+    _modify_intermediate_program()
+
+
+@pytest.mark.parametrize("fault_seed", range(3))
+def test_client_write_after_csync_survives_e2e_crc(fault_seed):
+    """The end-to-end CRC must not "repair" bytes a csync handed back.
+
+    The csync over B's first KB verifies that segment on the way out;
+    retirement then checks only what no csync returned.  With the CRC
+    checked at retirement over the whole destination, the client's later
+    write to B read as corruption and was overwritten from A whenever
+    faults delayed retirement past it.
+    """
+    _modify_intermediate_program(e2e_crc=True,
+                                 fault_plan=FaultPlan.mixed(fault_seed))
 
 
 def test_absorption_accounting_visible_in_stats():

@@ -220,7 +220,7 @@ class TestReject:
         assert client.stats.rejected_submits == 1
         assert client.stats.submitted == 0
         assert client.outstanding_bytes == 0
-        assert client.task_index == []  # rejected work leaves no trace
+        assert list(client.task_index) == []  # rejected work leaves no trace
         assert setup.service.admission.stats.rejected == 1
         rejects = [e for e in events if e.kind == "admission-reject"]
         assert len(rejects) == 1 and rejects[0].client_name == "app"

@@ -91,7 +91,9 @@ class TestPendingTasks:
         pending.add(a_to_b)
         pending.add(b_to_c)
         assert pending.dependencies_of(b_to_c) == [a_to_b]
-        assert pending.raw_source_of(b_to_c) is a_to_b
+        # a_to_b is b_to_c's nearest producer (the absorbable RAW source).
+        assert pending.earlier(b_to_c, pending.index.writers(b_to_c.src)) \
+            == [a_to_b]
 
     def test_war_dependency_detected(self, aspace):
         pending = PendingTasks()
@@ -101,7 +103,7 @@ class TestPendingTasks:
         pending.add(writer)
         # writer's dst overlaps reader's src: WAR hazard.
         assert pending.dependencies_of(writer) == [reader]
-        assert pending.raw_source_of(writer) is None
+        assert pending.earlier(writer, pending.index.writers(writer.src)) == []
 
     def test_independent_tasks_have_no_deps(self, aspace):
         pending = PendingTasks()
@@ -110,16 +112,6 @@ class TestPendingTasks:
         pending.add(t1)
         pending.add(t2)
         assert pending.dependencies_of(t2) == []
-
-    def test_transitive_dependencies_topological(self, aspace):
-        pending = PendingTasks()
-        a = _mk_task(aspace, 0x1000_0000, 0x1100_0000, 4096, u_order_key(0))
-        b = _mk_task(aspace, 0x1100_0000, 0x1200_0000, 4096, u_order_key(1))
-        c = _mk_task(aspace, 0x1200_0000, 0x1300_0000, 4096, u_order_key(2))
-        for t in (a, b, c):
-            pending.add(t)
-        deps = pending.transitive_dependencies(c)
-        assert [d.task_id for d in deps] == [a.task_id, b.task_id]
 
     def test_runnable_head_skips_lazy(self, aspace):
         pending = PendingTasks()

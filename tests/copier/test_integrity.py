@@ -12,7 +12,7 @@ a clean run with the CRC armed counts checks but zero mismatches.
 import pytest
 
 from repro.copier.errors import CopyAborted, TaskPoisoned
-from repro.faultinject import FaultPlan, fold_segment_crc
+from repro.faultinject import FaultPlan
 from tests.copier.conftest import Setup
 
 BUF_BYTES = 32 * 1024
@@ -100,19 +100,28 @@ def test_e2e_crc_env_knob(monkeypatch):
     assert Setup(n_frames=4096).service.e2e_crc is False
 
 
-def test_fold_segment_crc_is_order_independent():
-    parts = [(0, 0x1234), (1, 0xDEAD), (2, 0xBEEF)]
-    a = 0
-    for seg, crc in parts:
-        a = fold_segment_crc(a, seg, crc)
-    b = 0
-    for seg, crc in reversed(parts):
-        b = fold_segment_crc(b, seg, crc)
-    assert a == b
-    # ...but not segment-index independent: the same crc on a different
-    # segment folds differently (a swap of two segments' bytes is not a
-    # no-op).
-    assert fold_segment_crc(0, 0, 0x1234) != fold_segment_crc(0, 1, 0x1234)
+def test_segments_a_csync_returned_are_not_rechecked_at_retirement():
+    """A csync verifies the segments it hands back; the client may then
+    rewrite them, and retirement checks only the rest (a retirement-time
+    check of the whole destination read the client's write as corruption
+    and "repaired" it from the source)."""
+    setup = Setup(n_frames=8192, e2e_crc=True)
+    src, dst = _two_buffers(setup)
+    client, aspace = setup.client, setup.aspace
+
+    def app():
+        yield from client.amemcpy(dst, src, BUF_BYTES)
+        yield from client.csync(dst, 4096)
+        aspace.write(dst, b"\xee" * 4096)
+        yield from client.csync_all()
+
+    setup.run_process(app(), limit=RUN_LIMIT)
+    assert aspace.read(dst, 4096) == b"\xee" * 4096
+    assert aspace.read(dst + 4096, BUF_BYTES - 4096) == \
+        aspace.read(src + 4096, BUF_BYTES - 4096)
+    integ = setup.service.integrity
+    assert integ.crc_checks == 1
+    assert integ.crc_mismatches == 0
 
 
 def test_poison_with_e2e_crc_still_aborts_loudly():

@@ -68,7 +68,27 @@ def _reference(ops):
                                  HealthCheck.data_too_large])
 @given(ops=st.lists(_op(), min_size=1, max_size=12))
 def test_random_programs_match_reference(ops):
-    setup = Setup(n_frames=4096)
+    _run_against_reference(ops)
+
+
+def test_regression_e2e_crc_repair_rereads_rewritten_source():
+    """Found by the property test above with ``COPIER_E2E_CRC=1``.
+
+    The client csyncs every copy reading buffer 0, then rewrites buffer
+    0's first byte.  The 1025-byte copy's first segment was partly
+    overwritten by the newer 1-byte copy, so the historic retire-time
+    CRC saw a mismatch and "repaired" the segment by re-reading buffer 0,
+    leaving the client's later write in buffer 1.  A csync verifies the
+    segments it hands back, and a newer write supersedes an older copy's
+    expected CRC over the same bytes.
+    """
+    _run_against_reference(
+        [("copy", 0, 1, 0, 1), ("copy", 0, 1, 0, 1025), ("copy", 2, 0, 0, 1),
+         ("copy", 0, 1, 0, 1), ("write", 0, 0, 1, 1)], e2e_crc=True)
+
+
+def _run_against_reference(ops, **service_kwargs):
+    setup = Setup(n_frames=4096, **service_kwargs)
     aspace, client = setup.aspace, setup.client
     bases = [aspace.mmap(BUF_BYTES, populate=True) for _ in range(N_BUFFERS)]
     for i, base in enumerate(bases):

@@ -62,4 +62,4 @@ def test_forced_prune_keeps_unfinished_tasks():
     setup.run_process(gen())
     before = list(client.task_index)
     client._prune_index(force=True)
-    assert client.task_index == before
+    assert list(client.task_index) == before

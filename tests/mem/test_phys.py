@@ -106,67 +106,112 @@ def test_paddr_layout():
     assert phys.paddr(3, 5) == 3 * PAGE_SIZE + 5
 
 
-def _reference_contiguous_alloc(free, n):
-    """The historic allocator: sort the whole free list descending every
-    call, take the lowest run of ``n``.  Mutates ``free`` like the real
-    one; returns the frames or None."""
-    free.sort(reverse=True)
-    run = []
-    for frame in reversed(free):  # ascending
-        if run and frame != run[-1] + 1:
-            run = []
-        run.append(frame)
-        if len(run) == n:
-            for f in run:
-                free.remove(f)
-            return run
-    return None
+class _HistoricFreeList:
+    """The historic allocator: one plain list whose end ``alloc_frame``
+    pops, re-sorted descending in full by every contiguous allocation.
+    Returns ``None`` where the real one raises :class:`OutOfMemory`."""
+
+    def __init__(self, n_frames, fragmented):
+        self.free = list(range(n_frames - 1, -1, -1))
+        self.fragmented = fragmented
+        self.parity = 0
+
+    def alloc_frame(self):
+        if not self.free:
+            return None
+        if self.fragmented and len(self.free) > 1:
+            self.parity ^= 1
+            return self.free.pop() if self.parity else self.free.pop(0)
+        return self.free.pop()
+
+    def alloc_frame_in(self, lo, hi):
+        for i in range(len(self.free) - 1, -1, -1):
+            if lo <= self.free[i] < hi:
+                return self.free.pop(i)
+        return None
+
+    def alloc_contiguous(self, n):
+        self.free.sort(reverse=True)
+        run = []
+        for frame in reversed(self.free):  # ascending
+            if run and frame != run[-1] + 1:
+                run = []
+            run.append(frame)
+            if len(run) == n:
+                for f in run:
+                    self.free.remove(f)
+                return run
+        return None
+
+    def free_frame(self, frame):
+        self.free.append(frame)
 
 
 def test_contiguous_alloc_matches_reference_semantics():
-    """The dirty-flag allocator must produce the historic allocation
-    sequence AND the historic free-list state (frame numbers feed DMA
-    candidacy, so any drift changes simulated behaviour)."""
+    """The extent allocator makes the historic picks AND keeps the
+    historic free-list order, step for step, across every allocation
+    flavour and checkpoint round trips, for 5 seeds with and without
+    ``fragmented`` (frame numbers feed DMA candidacy, so any drift
+    changes simulated behaviour)."""
+    for seed in range(5):
+        for fragmented in (False, True):
+            _run_against_historic(seed, fragmented)
+
+
+def _run_against_historic(seed, fragmented):
     import random
 
-    rng = random.Random(42)
-    phys = PhysicalMemory(n_frames=128)
-    shadow = list(phys._free)
+    rng = random.Random(seed)
+    phys = PhysicalMemory(n_frames=512, fragmented=fragmented)
+    ref = _HistoricFreeList(512, fragmented)
     held = []
-    for step in range(300):
+    for _step in range(2000):
         roll = rng.random()
-        if roll < 0.45 and phys.frames_free > 8:
-            n = rng.randint(1, 6)
-            expected = _reference_contiguous_alloc(shadow, n)
+        if roll < 0.25:
+            n = rng.randint(1, 9)
+            expected = ref.alloc_contiguous(n)
             if expected is None:
                 with pytest.raises(OutOfMemory):
                     phys.alloc_frames(n, contiguous=True)
             else:
-                got = phys.alloc_frames(n, contiguous=True)
-                assert got == expected
-                held.extend(got)
-        elif roll < 0.7 and phys.frames_free > 0:
-            frame = phys.alloc_frame()
-            assert frame == shadow.pop()
-            held.append(frame)
+                assert phys.alloc_frames(n, contiguous=True) == expected
+                held.extend(expected)
+        elif roll < 0.45:
+            expected = ref.alloc_frame()
+            if expected is None:
+                with pytest.raises(OutOfMemory):
+                    phys.alloc_frame()
+            else:
+                assert phys.alloc_frame() == expected
+                held.append(expected)
+        elif roll < 0.55:
+            lo = rng.randrange(512)
+            hi = lo + rng.randint(1, 128)
+            expected = ref.alloc_frame_in(lo, hi)
+            if expected is None:
+                with pytest.raises(OutOfMemory):
+                    phys.alloc_frame_in(lo, hi)
+            else:
+                assert phys.alloc_frame_in(lo, hi) == expected
+                held.append(expected)
+        elif roll < 0.57:
+            # A checkpoint round trip restores the same order.
+            phys.load_free_list(phys.free_list(), phys.free_list_sorted())
         elif held:
             frame = held.pop(rng.randrange(len(held)))
             phys.free_frame(frame)
-            shadow.append(frame)
-        assert sorted(phys._free) == sorted(shadow)
-    # Final state: one more sorted alloc must agree exactly.
-    expected = _reference_contiguous_alloc(shadow, 2)
-    if expected is not None:
-        assert phys.alloc_frames(2, contiguous=True) == expected
-        assert phys._free == shadow
+            ref.free_frame(frame)
+        assert phys.free_list() == ref.free
+        assert phys.frames_free == len(ref.free)
 
 
-# ------------------------------------------------ free-list sort pressure
+# ------------------------------------------------ free-list merge pressure
 
 
 def test_lifo_churn_never_resorts_free_list():
-    """Alloc/free in LIFO order keeps the descending invariant intact, so
-    contiguous allocation never pays a re-sort (``sort_work`` stays 0)."""
+    """Frees in LIFO order grow the lowest free extent directly, so no
+    out-of-order tail builds up and contiguous allocation merges nothing
+    (``sort_work`` stays 0)."""
     phys = PhysicalMemory(n_frames=4096)
     a = phys.alloc_frames(64, contiguous=True)
     for frame in reversed(a):
@@ -177,8 +222,9 @@ def test_lifo_churn_never_resorts_free_list():
 
 
 def test_free_burst_sort_work_bounded_by_dirty_tail():
-    """A burst of out-of-order frees dirties only its own tail: the next
-    contiguous alloc sorts the k burst entries, not the whole free list.
+    """A burst of k out-of-order frees lands in the tail: the next
+    contiguous alloc merges those k frames into the extents, never the
+    whole free list.
 
     The counter-based assertion pins the complexity class (the historic
     path charged the full list length every time) without wall-clock
@@ -191,7 +237,7 @@ def test_free_burst_sort_work_bounded_by_dirty_tail():
     again = phys.alloc_frames(64, contiguous=True)
     assert again == frames  # semantics identical to a full re-sort
     assert 0 < phys.sort_work <= len(frames)  # dirty tail only, not ~4096
-    # The list is fully ordered again: further allocs stay sort-free.
+    # The tail is merged: further allocs merge nothing.
     work = phys.sort_work
     phys.alloc_frames(8, contiguous=True)
     assert phys.sort_work == work
@@ -203,10 +249,10 @@ def test_free_frame_keeps_refcount_semantics_on_shared_frames():
     phys.share_frame(frame)
     phys.free_frame(frame)           # one ref left: frame stays allocated
     assert phys.refcount(frame) == 1
-    assert frame not in phys._free
+    assert frame not in phys.free_list()
     phys.free_frame(frame)           # last ref: really freed
     assert phys.refcount(frame) == 0
-    assert frame in phys._free
+    assert frame in phys.free_list()
 
 
 # ------------------------------------------------------ flat frame backing
