@@ -119,6 +119,8 @@ class CopierService:
         self.lazy_period_cycles = lazy_period_cycles
         self.autoscale = autoscale
         self.clients = []
+        # Bumped whenever ``clients`` changes; workers cache their share.
+        self.clients_epoch = 0
         # Set by repro.serve.SimDriver when an async driver owns the
         # event loop; surfaces its stats under stats_snapshot()["serve"].
         self.serve_driver = None
@@ -168,11 +170,13 @@ class CopierService:
                               queue_capacity=queue_capacity,
                               segment_bytes=segment_bytes)
         self.clients.append(client)
+        self.clients_epoch += 1
         self.scheduler.register(client, cgroup)
         return client
 
     def remove_client(self, client):
         self.clients.remove(client)
+        self.clients_epoch += 1
         self.scheduler.unregister(client)
         self.admission.forget(client)
 

@@ -9,6 +9,15 @@ the service's shared :class:`~repro.copier.executor.CopyExecutor`.  The
 wake it) is delegated to the service's pluggable
 :class:`~repro.copier.polling.PollingPolicy`.
 
+A sweep that yields nothing observes nothing new.  When none of the
+thread's clients has a pending task or a published entry in its copy and
+sync rings, the iteration skips the sweep and goes straight to the idle
+poll — the common case of a busy-polling thread.  Otherwise each stage
+skips a client whose ring or pending list is empty at that moment; the
+check is per stage, because a Sync Task can land while the thread yields
+in an earlier stage.  The thread's client share (:meth:`my_clients`) is
+cached until the service's clients or active thread count change.
+
 :class:`AutoScaler` implements §4.5.1's load-watching: thread 0 records
 its busy-time fraction per decision window and wakes/sheds sibling
 threads to keep it between ``low_load`` and ``high_load``.
@@ -19,6 +28,19 @@ from repro.sim.trace import ThreadSleep, ThreadWake
 
 #: Bookkeeping cycles charged per task retired by the overload reap.
 _REAP_CYCLES_PER_TASK = 15
+
+
+def _quiet(clients):
+    """True when no client has a pending task or a published entry in its
+    copy and sync rings (``head == tail``): a sweep would find nothing."""
+    for client in clients:
+        if client.pending:
+            return False
+        u, k = client.u_queues, client.k_queues
+        if (u.copy.head != u.copy.tail or k.copy.head != k.copy.tail
+                or u.sync.head != u.sync.tail or k.sync.head != k.sync.tail):
+            return False
+    return True
 
 
 class AutoScaler:
@@ -67,22 +89,33 @@ class CopierWorker:
     def __init__(self, service, tid):
         self.service = service
         self.tid = tid
+        self._clients = []
+        self._clients_key = None
 
     def my_clients(self):
         """Clients served by this thread: round-robin over the active
         thread count, so scaling up immediately re-spreads clients (the
-        NUMA-local preference is a no-op in this single-node model)."""
+        NUMA-local preference is a no-op in this single-node model).
+
+        Cached until the service's client list or its active thread count
+        changes; a change builds a new list, so a sweep holding the old
+        one is unaffected.  Callers must not mutate the result."""
         service = self.service
-        if self.tid >= service.active_threads:
-            return []
-        return [c for i, c in enumerate(service.clients)
-                if i % service.active_threads == self.tid]
+        key = (service.clients_epoch, service.active_threads)
+        if key != self._clients_key:
+            self._clients_key = key
+            active = service.active_threads
+            if self.tid >= active:
+                self._clients = []
+            else:
+                self._clients = [c for i, c in enumerate(service.clients)
+                                 if i % active == self.tid]
+        return self._clients
 
     # ------------------------------------------------------------ main loop
 
     def loop(self):
         service = self.service
-        executor = service.executor
         params = service.params
         # Save SIMD state once on activation instead of per copy (§4.3).
         yield Compute(params.simd_state_cycles, tag="copier-mgmt")
@@ -97,44 +130,13 @@ class CopierWorker:
                 win_start, win_busy, win_iters = service.env.now, 0, 0
                 continue
             iter_start = service.env.now
-            did_work = False
             clients = self.my_clients()
-
-            ingest_cost = 0
-            for client in clients:
-                ingest_cost += executor.ingest(client)
-            if ingest_cost:
-                yield Compute(ingest_cost, tag="copier-mgmt")
-
-            # Retire cancelled/deadline-expired work before planning any
-            # rounds — no cycles are spent copying bytes nobody wants.
-            reaped = 0
-            for client in clients:
-                reaped += service.completion.reap_overload(client)
-            if reaped:
-                did_work = True
-                yield Compute(reaped * _REAP_CYCLES_PER_TASK,
-                              tag="copier-mgmt")
-
-            # Sync Tasks first — k-mode before u-mode (§4.2.2).
-            for kind in ("k", "u"):
-                for client in clients:
-                    queues = client.k_queues if kind == "k" else client.u_queues
-                    for sync in queues.sync.drain():
-                        did_work = True
-                        yield from executor.handle_sync(client, sync)
-
-            ready = [c for c in clients if executor.has_runnable(c)]
-            client = service.scheduler.pick(ready)
-            if client is not None:
-                head = executor.next_head(client)
-                plan = service.dispatcher.build_round(
-                    client.pending, service.scheduler.copy_slice_bytes,
-                    head=head)
-                if plan is not None and (plan.avx_jobs or plan.dma_runs):
-                    did_work = True
-                    yield from executor.execute_plan(client, plan)
-                service.completion.sweep(client)
+            if _quiet(clients):
+                # Nothing pending, nothing published: a sweep would
+                # drain empty rings and pick no client, so skip it.
+                did_work = False
+            else:
+                did_work = yield from self._sweep(clients)
 
             if did_work:
                 win_busy += service.env.now - iter_start
@@ -161,6 +163,58 @@ class CopierWorker:
                     win_start, win_busy, win_iters = service.env.now, 0, 0
                 else:
                     yield Timeout(service.policy.poll_gap(idle_streak))
+
+    def _sweep(self, clients):
+        """Ingest, reap, serve Sync Tasks and run one dispatcher round;
+        returns whether any of it did work.  Each stage skips a client
+        whose ring or pending list is empty at that moment (a Sync Task
+        may land while the thread yields in an earlier stage)."""
+        service = self.service
+        executor = service.executor
+        did_work = False
+        ingest_cost = 0
+        for client in clients:
+            u, k = client.u_queues.copy, client.k_queues.copy
+            if u.head != u.tail or k.head != k.tail:
+                ingest_cost += executor.ingest(client)
+        if ingest_cost:
+            yield Compute(ingest_cost, tag="copier-mgmt")
+
+        # Retire cancelled/deadline-expired work before planning any
+        # rounds — no cycles are spent copying bytes nobody wants.
+        reaped = 0
+        for client in clients:
+            if client.pending:
+                reaped += service.completion.reap_overload(client)
+        if reaped:
+            did_work = True
+            yield Compute(reaped * _REAP_CYCLES_PER_TASK,
+                          tag="copier-mgmt")
+
+        # Sync Tasks first — k-mode before u-mode (§4.2.2).
+        for kind in ("k", "u"):
+            for client in clients:
+                queues = client.k_queues if kind == "k" else client.u_queues
+                sync = queues.sync
+                if sync.head == sync.tail:
+                    continue
+                for task in sync.drain():
+                    did_work = True
+                    yield from executor.handle_sync(client, task)
+
+        ready = [c for c in clients
+                 if c.pending and executor.has_runnable(c)]
+        client = service.scheduler.pick(ready)
+        if client is not None:
+            head = executor.next_head(client)
+            plan = service.dispatcher.build_round(
+                client.pending, service.scheduler.copy_slice_bytes,
+                head=head)
+            if plan is not None and (plan.avx_jobs or plan.dma_runs):
+                did_work = True
+                yield from executor.execute_plan(client, plan)
+            service.completion.sweep(client)
+        return did_work
 
     # ----------------------------------------------------------- sleep/wake
 

@@ -140,7 +140,9 @@ class Environment:
         self.stats = CycleStats()
         self.trace = TraceBus()
         self.cores = CoreSet(self, n_cores, timeslice)
-        self.processes = []
+        # Live processes in spawn order (a dict for O(1) removal when one
+        # finishes); iterate it like a list.
+        self.processes = {}
 
     def schedule(self, delay, fn):
         """Run ``fn()`` after ``delay`` cycles."""
@@ -163,7 +165,7 @@ class Environment:
     def spawn(self, generator, name=None, affinity=None):
         """Create and start a process from ``generator``."""
         process = Process(self, generator, name=name, affinity=affinity)
-        self.processes.append(process)
+        self.processes[process] = None
         process.start()
         return process
 

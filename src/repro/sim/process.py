@@ -1,4 +1,13 @@
-"""Generator-based simulated processes."""
+"""Generator-based simulated processes.
+
+A process resumes once per request it yields, so this is the other half
+of the host's hot path (with :mod:`repro.sim.cores`).  Each process binds
+one wake callback, ``_wake``, at construction and schedules it for every
+start, ``Timeout`` expiry and ``Compute`` end instead of a fresh closure
+per event; ``_handle`` tests the exact request types before falling back
+to ``isinstance`` for subclasses.  A finished process leaves
+``env.processes``, so a long-running environment holds only live ones.
+"""
 
 from repro.sim.events import Event
 from repro.sim.requests import Compute, Timeout, WaitEvent
@@ -39,7 +48,9 @@ class Process:
         self.terminated = Event(env)
         self.result = None
         self._pending_exc = None
-        self._compute_state = None  # set by CoreSet while computing
+        self._compute = None  # reused by CoreSet for every Compute
+        # The one callback every wakeup schedules: _resume(None).
+        self._wake = self._resume
 
     def __repr__(self):
         return "<Process %s pid=%d %s>" % (self.name, self.pid, self.state)
@@ -52,7 +63,7 @@ class Process:
         if self.state != NEW:
             raise RuntimeError("process already started")
         self.state = BLOCKED
-        self.env.schedule(0, lambda: self._resume(None))
+        self.env.schedule(0, self._wake)
         return self
 
     def kill(self, exc=None):
@@ -75,7 +86,7 @@ class Process:
         if self.state == BLOCKED and self._pending_exc is not None:
             self._resume(None)
 
-    def _resume(self, value):
+    def _resume(self, value=None):
         if self.state == DONE:
             return
         self.state = RUNNING
@@ -97,11 +108,15 @@ class Process:
 
     def _handle(self, request):
         env = self.env
-        if isinstance(request, Compute):
+        # Exact types first: the isinstance walk only runs for subclasses
+        # and the rarer requests.
+        kind = type(request)
+        if kind is Compute or (kind is not Timeout
+                               and isinstance(request, Compute)):
             env.cores.submit(self, request)
-        elif isinstance(request, Timeout):
+        elif kind is Timeout or isinstance(request, Timeout):
             self.state = BLOCKED
-            env.schedule(request.cycles, lambda: self._resume(None))
+            env.schedule(request.cycles, self._wake)
         elif isinstance(request, WaitEvent):
             self.state = BLOCKED
             request.event.add_callback(self._on_event)
@@ -124,6 +139,7 @@ class Process:
     def _finish(self, result, exc):
         self.state = DONE
         self.result = result
+        self.env.processes.pop(self, None)
         if exc is not None:
             self.terminated.fail(exc)
         else:

@@ -15,15 +15,11 @@ class CycleStats:
     """Aggregates cycles and instructions by process and tag."""
 
     def __init__(self):
-        # {pid: {tag: cycles}}
+        # {pid: {tag: cycles}}; the core scheduler adds each slice to all
+        # three maps (``CoreSet._slice_end``).
         self.cycles = defaultdict(lambda: defaultdict(int))
         self.instructions = defaultdict(lambda: defaultdict(float))
         self.core_cycles = defaultdict(lambda: defaultdict(int))
-
-    def account(self, process, tag, cycles, instructions, core_id):
-        self.cycles[process.pid][tag] += cycles
-        self.instructions[process.pid][tag] += instructions
-        self.core_cycles[core_id][tag] += cycles
 
     def total_cycles(self, pid=None, tag=None):
         if pid is not None:

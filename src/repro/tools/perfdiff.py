@@ -11,10 +11,12 @@ scenarios present on only one side are reported but never fail the gate
 — machines differ, scenarios evolve; only a same-machine slowdown is a
 regression signal.
 
-Sim-side drift (``sim_cycles`` / ``sim_bytes`` changing between two
-baselines of the same schema) is flagged as a determinism warning: a
-host-side fast path must not move simulated time.  Pass ``--strict-sim``
-to turn those warnings into failures (the differential-determinism CI
+Sim-side drift is flagged as a determinism warning: between two
+baselines of the same schema, every recorded key except ``wall_s`` and
+the host ``*_per_s`` rates is a simulated number (cycles, bytes, events,
+p99 and MTTR cycles, retransmits, CRC drops, request counts), and a
+host-side fast path must not move any of them.  Pass ``--strict-sim`` to
+turn those warnings into failures (the differential-determinism CI
 configuration).
 """
 
@@ -28,11 +30,21 @@ def load(path):
         return json.load(fh)
 
 
+def sim_drift_keys(old, new):
+    """The simulated keys — all but ``wall_s`` and the host ``*_per_s``
+    rates — whose values differ between two scenario records (a key
+    recorded on one side only counts as drift)."""
+    return sorted(k for k in set(old) | set(new)
+                  if k != "wall_s" and not k.endswith("_per_s")
+                  and old.get(k) != new.get(k))
+
+
 def compare(old, new, tolerance=0.25):
     """Return (rows, regressions, sim_drift) comparing two baselines.
 
     ``rows`` is a list of dicts (one per scenario, union of both sides);
-    ``regressions``/``sim_drift`` list the offending scenario names.
+    ``regressions``/``sim_drift`` list the offending scenario names, and
+    each drifted row's ``drift`` names its drifted keys.
     """
     rows = []
     regressions = []
@@ -43,7 +55,7 @@ def compare(old, new, tolerance=0.25):
     for name in sorted(set(old_sc) | set(new_sc)):
         o, n = old_sc.get(name), new_sc.get(name)
         row = {"scenario": name, "old_wall": None, "new_wall": None,
-               "speedup": None, "status": ""}
+               "speedup": None, "status": "", "drift": []}
         if o is None or n is None:
             row["status"] = "only-old" if n is None else "only-new"
             if o is not None:
@@ -62,10 +74,11 @@ def compare(old, new, tolerance=0.25):
             row["status"] = "faster"
         else:
             row["status"] = "ok"
-        if same_schema and (o.get("sim_cycles") != n.get("sim_cycles")
-                            or o.get("sim_bytes") != n.get("sim_bytes")):
-            row["status"] += " sim-drift"
-            sim_drift.append(name)
+        if same_schema:
+            row["drift"] = sim_drift_keys(o, n)
+            if row["drift"]:
+                row["status"] += " sim-drift"
+                sim_drift.append(name)
         rows.append(row)
     return rows, regressions, sim_drift
 
@@ -100,8 +113,9 @@ def main(argv=None):
                                            tolerance=args.tolerance)
     print(render(rows, args.tolerance))
     if sim_drift:
-        print("\nWARNING: simulated-side drift (cycles/bytes changed): %s"
-              % ", ".join(sim_drift))
+        print("\nWARNING: simulated-side drift: %s" % "; ".join(
+            "%s (%s)" % (row["scenario"], ", ".join(row["drift"]))
+            for row in rows if row["drift"]))
     if regressions:
         print("\nFAIL: wall-clock regression beyond %d%%: %s"
               % (round(args.tolerance * 100), ", ".join(regressions)))

@@ -13,6 +13,7 @@ import pytest
 from repro.ckpt import CheckpointStateError, checkpoint
 from repro.kernel.system import System
 from repro.mem.phys import PAGE_SIZE
+from repro.sim import Compute, Timeout
 
 QUANTUM = 20_000
 
@@ -91,6 +92,38 @@ def test_foreign_blocked_process_blocks_checkpoint(machine):
 
     system.env.spawn(stuck(), name="stuck-app")
     with pytest.raises(CheckpointStateError, match="alive"):
+        checkpoint(system)
+
+
+def test_finished_processes_leave_env_and_a_live_one_still_blocks(machine):
+    """``env.processes`` holds live processes only, in spawn order: ten
+    thousand finished ones leave nothing behind, and the quiescence check
+    still finds the one process that never finishes."""
+    system, proc = machine
+    env = system.env
+    _copy(proc)
+
+    def brief(i):
+        yield Timeout(i % 3)
+        if i % 2:
+            yield Compute(1 + i % 7)
+
+    spawned = list(env.processes)
+    for batch in range(10):
+        spawned += [env.spawn(brief(i), name="brief")
+                    for i in range(batch * 1000, (batch + 1) * 1000)]
+        env.step(max_cycles=QUANTUM)
+    live = [p for p in spawned if p.is_alive]
+    assert len(spawned) > 10_000
+    assert list(env.processes) == live
+    never = system.env.event()
+
+    def stuck():
+        yield never
+
+    stuck_proc = env.spawn(stuck(), name="stuck-app")
+    assert list(env.processes) == live + [stuck_proc]
+    with pytest.raises(CheckpointStateError, match="stuck-app"):
         checkpoint(system)
 
 

@@ -1,0 +1,167 @@
+"""Pinned machine-level determinism digests.
+
+Each program below builds a whole :class:`~repro.kernel.System`, runs a
+seeded workload on it and hashes what the simulated machine did:
+``(env.now, events_executed, CycleStats, copier stats_snapshot())``.
+The digests were recorded before the core scheduler's and the worker
+loop's fast paths were written, so any drift in simulated time, in the
+number or order of events, or in the copier's counters shows up here.
+
+The programs cover paths the benchmark workloads do not: a deep
+``amemcpy`` window with chained copies, a copier-mode Redis run with
+auto-scaling across two Copier threads, and floating application
+processes that contend with the Copier thread on two cores so that
+timeslices rotate.
+
+The digests hold on both event loops (``COPIER_SLOWHEAP=1`` is the
+historic heap oracle) and under ``COPIER_SLOWPATH=1``; knobs that change
+the simulated machine (fault plans, admission, the end-to-end CRC) skip
+the comparison but still require two runs to agree.
+"""
+
+import hashlib
+import os
+import random
+
+import pytest
+
+from repro.apps.rediskv import run_benchmark
+from repro.kernel import System
+from repro.sim.process import Process
+
+#: Knobs under which the simulated machine is unchanged by design.
+_ORACLE_KNOBS = {"COPIER_SLOWHEAP", "COPIER_SLOWPATH"}
+
+PINNED_DIGESTS = {
+    "amemcpy_window":
+        "8527cc20cc2dd88b47eeb979cc049f065e33b685b1d7c7e0ff40303e9a41350e",
+    "redis_autoscale":
+        "b947f33d0b83df5a7caaffd2f36915cd6ab14db0c96c30ff8cb7ebbe57ded48b",
+    "floating_contention":
+        "e7baa19300517dc84aacb2f0ff8657d38ab6cc518dbae57a8b0a4ec012f70969",
+}
+
+
+def _relabel(per_key, base):
+    return sorted((key - base, sorted(tags.items()))
+                  for key, tags in per_key.items())
+
+
+def machine_digest(system, pid_base):
+    """sha256 over the machine's clock, event count, cycle accounting and
+    copier snapshot.  Simulated pids are process-global counters, so they
+    are taken relative to the first pid the program spawned."""
+    env = system.env
+    stats = env.stats
+    snapshot = (
+        env.now,
+        env.events_executed,
+        _relabel(stats.cycles, pid_base),
+        _relabel(stats.instructions, pid_base),
+        sorted((core, sorted(tags.items()))
+               for core, tags in stats.core_cycles.items()),
+        [core.busy_cycles for core in env.cores.cores],
+        system.copier.stats_snapshot(),
+    )
+    return hashlib.sha256(repr(snapshot).encode()).hexdigest()
+
+
+def _amemcpy_window(seed=3, n_copies=240, depth=24):
+    """One process keeps ``depth`` copies in flight; about a third read a
+    prefix of an in-flight destination (chained copies)."""
+    rng = random.Random(seed)
+    system = System(n_cores=4, copier=True, phys_frames=16384)
+    proc = system.create_process("window")
+    client = proc.client
+    slot = 32 * 1024
+    blob = rng.randbytes(256 * 1024)
+    src_base = proc.mmap(len(blob), populate=True)
+    proc.write(src_base, blob)
+    n_slots = 3 * depth
+    dst_base = proc.mmap(n_slots * slot, populate=True)
+
+    def run():
+        window = []
+        for i in range(n_copies):
+            if len(window) >= depth:
+                dst, n = window.pop(0)
+                yield from client.csync(dst, n)
+            n = rng.choice((64, 700, 4096, 9000, 20000, slot))
+            dst = dst_base + (i % n_slots) * slot
+            chained = [w for w in window if w[1] >= n]
+            if chained and rng.random() < 1 / 3:
+                src = chained[-1][0]
+            else:
+                src = src_base + rng.randrange(len(blob) - n + 1)
+            yield from client.amemcpy(dst, src, n)
+            window.append((dst, n))
+            yield system.app_compute(proc, rng.randrange(0, 600))
+        for dst, n in window:
+            yield from client.csync(dst, n)
+
+    sim_proc = proc.spawn(run(), affinity=0)
+    system.env.run_until(sim_proc.terminated, limit=10_000_000_000)
+    return system
+
+
+def _redis_autoscale():
+    """Copier-mode Redis with auto-scaling over two Copier threads."""
+    system = System(n_cores=4, copier=True, phys_frames=65536,
+                    copier_kwargs=dict(autoscale=True, n_threads=1,
+                                       max_threads=2,
+                                       dedicated_cores=[3, 2]))
+    run_benchmark(system, "copier", "SET", 131072, n_requests=4,
+                  n_clients=6)
+    run_benchmark(system, "copier", "GET", 4096, n_requests=6,
+                  n_clients=4)
+    return system
+
+
+def _floating_contention(seed=5):
+    """Floating app processes share two cores with the Copier thread under
+    a short timeslice, so slices rotate between them."""
+    rng = random.Random(seed)
+    system = System(n_cores=2, copier=True, phys_frames=16384,
+                    timeslice=5_000)
+    env = system.env
+    procs = []
+    for k in range(3):
+        proc = system.create_process("float-%d" % k)
+        src = proc.mmap(64 * 1024, populate=True)
+        dst = proc.mmap(64 * 1024, populate=True)
+        proc.write(src, rng.randbytes(64 * 1024))
+        lengths = [rng.choice((0, 1_000, 5_000, 12_000)) for _ in range(12)]
+        sizes = [rng.choice((256, 4096, 65536)) for _ in range(12)]
+
+        def run(proc=proc, src=src, dst=dst, lengths=lengths, sizes=sizes):
+            for cycles, n in zip(lengths, sizes):
+                yield system.app_compute(proc, cycles)
+                yield from proc.client.amemcpy(dst, src, n)
+                yield from proc.client.csync(dst, n)
+
+        procs.append(proc.spawn(run(), affinity=None))
+    for sim_proc in procs:
+        env.run_until(sim_proc.terminated, limit=10_000_000_000)
+    return system
+
+
+PROGRAMS = {
+    "amemcpy_window": _amemcpy_window,
+    "redis_autoscale": _redis_autoscale,
+    "floating_contention": _floating_contention,
+}
+
+
+def _run(name):
+    base = Process._next_pid[0]
+    return machine_digest(PROGRAMS[name](), base)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_machine_digest_is_pinned(name):
+    digest = _run(name)
+    assert _run(name) == digest
+    knobs = {k for k in os.environ if k.startswith("COPIER_")}
+    if knobs - _ORACLE_KNOBS:
+        return
+    assert digest == PINNED_DIGESTS[name]
