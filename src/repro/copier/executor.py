@@ -31,6 +31,7 @@ from repro.copier.errors import (DMAAbortError, DMASubmitError,
 from repro.hw.dma import DMASubtask
 from repro.mem.addrspace import copy_range
 from repro.mem.faults import MemoryFault, SegmentationFault
+from repro.mem.phys import OutOfMemory
 from repro.sim import Compute, Timeout, WaitEvent
 from repro.sim.trace import (DmaCompleted, EngineFallback, RoundPlanned,
                              SegmentExecuted, TaskIngested)
@@ -74,7 +75,6 @@ class CopyExecutor:
         """Security checks, proactive faulting, pinning, translation."""
         params = self.service.params
         cost = 0
-        from repro.mem.phys import OutOfMemory
 
         # Cancelled or already-expired tasks retire here, before any pin
         # or page work is spent on bytes nobody will consume.

@@ -2,9 +2,10 @@
 
 Each client owns two sets (u-mode for the app, k-mode for kernel services
 sharing its context, §4.2.1).  Rings follow the paper's lock-free protocol:
-producers *acquire* a slot by fetch-and-add on the head, fill it, then set
-the valid bit; the consumer (a Copier thread) only advances the tail past
-valid slots.  The simulator executes Python atomically between yields, so
+producers *acquire* a slot by fetch-and-add on the head, then publish the
+item into it; a slot holding an item is the valid bit, so the consumer (a
+Copier thread) only advances the tail past filled slots and empties each
+one it takes.  The simulator executes Python atomically between yields, so
 the protocol is exercised logically (acquisition order defines task order)
 rather than against a hardware memory model — see DESIGN.md deviations.
 """
@@ -12,14 +13,6 @@ rather than against a hardware memory model — see DESIGN.md deviations.
 
 class QueueFull(Exception):
     pass
-
-
-class _Slot:
-    __slots__ = ("item", "valid")
-
-    def __init__(self):
-        self.item = None
-        self.valid = False
 
 
 class RingQueue:
@@ -30,7 +23,7 @@ class RingQueue:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.name = name
-        self._slots = [_Slot() for _ in range(capacity)]
+        self._slots = [None] * capacity  # None: not yet published
         self.head = 0  # total slots acquired (fetch-and-add counter)
         self.tail = 0  # total slots consumed
 
@@ -61,10 +54,11 @@ class RingQueue:
         return index
 
     def publish(self, index, item):
-        """Fill the acquired slot and set its valid bit."""
-        slot = self._slots[index % self.capacity]
-        slot.item = item
-        slot.valid = True
+        """Fill the acquired slot; the item itself is the valid bit, so
+        ``None`` cannot be published."""
+        if item is None:
+            raise ValueError("cannot publish None: it marks an empty slot")
+        self._slots[index % self.capacity] = item
 
     def submit(self, item):
         """acquire + publish in one step; returns the global position."""
@@ -73,15 +67,14 @@ class RingQueue:
         return index
 
     def pop(self):
-        """Consume the item at the tail; None if tail slot not yet valid."""
-        if self.is_empty:
-            return None
-        slot = self._slots[self.tail % self.capacity]
-        if not slot.valid:
-            return None  # producer acquired but not yet published
-        item, slot.item = slot.item, None
-        slot.valid = False
-        self.tail += 1
+        """Consume the item at the tail; None if the ring is empty or the
+        tail slot is acquired but not yet published."""
+        slots = self._slots
+        index = self.tail % self.capacity
+        item = slots[index]
+        if item is not None:
+            slots[index] = None
+            self.tail += 1
         return item
 
     def drain(self):

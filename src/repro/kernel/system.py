@@ -5,7 +5,7 @@ from repro.hw.cache import CacheModel
 from repro.hw.params import MachineParams
 from repro.kernel.process import OSProcess
 from repro.mem.addrspace import AddressSpace, copy_range
-from repro.mem.phys import PhysicalMemory
+from repro.mem.phys import OutOfMemory, PhysicalMemory
 from repro.sim import Compute, Environment
 
 
@@ -109,8 +109,6 @@ class System:
 
     def alloc_kernel_buffer(self, nbytes, contiguous=True):
         """Allocate a kernel buffer (socket buffer, binder buffer...)."""
-        from repro.mem.phys import OutOfMemory
-
         try:
             return self.kernel_as.mmap(nbytes, populate=True,
                                        contiguous=contiguous,

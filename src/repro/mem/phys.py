@@ -4,20 +4,21 @@ Frame numbers double as physical addresses (``paddr = frame * PAGE_SIZE``),
 which is what the DMA engine's physical-contiguity requirement (§4.3) is
 checked against when Copier splits tasks into subtasks.
 
-Storage layout (flat backing)
------------------------------
+Storage layout (demand-zero backing)
+------------------------------------
 
-All frames live in **one contiguous bytearray**, at byte offset
-``frame * PAGE_SIZE``.  The historic layout kept a separate bytearray per
-frame, which forced every bulk primitive to loop page-by-page even when
-the physical run was contiguous; with the flat backing,
+All frames live in **one anonymous ``mmap``** of ``n_frames`` pages, at
+byte offset ``frame * PAGE_SIZE``.  The host kernel zero-fills a page of
+the mapping on first touch, so a sparsely-used pool (e.g. 262144 frames
+with a few thousand touched) commits host RAM only for the pages the
+simulated machine writes, and the mapping never grows or moves.  A
+physically-contiguous run is contiguous in the mapping, so
 ``read_run``/``write_run``/``copy_run`` are each a *single* slice copy
 regardless of how many frames the run spans, and
 :func:`repro.mem.addrspace.copy_range` collapses adjacent physical runs
-into one move.  The backing grows geometrically and only as far as the
-highest frame ever claimed, so a sparsely-used pool (e.g. 262144 frames
-with a few thousand touched) costs memory proportional to use, not to
-``n_frames``.
+into one move.  A per-frame ``touched`` map records which frames were
+ever claimed: a first claim finds the page zero already, and only a
+reclaimed frame is scrubbed.
 
 Free list (extents plus a LIFO tail)
 ------------------------------------
@@ -37,6 +38,7 @@ extent of length >= n — the lowest free run, as a full sort would pick.
 historic list order; checkpoints save and restore that order.
 """
 
+import mmap
 from bisect import bisect_right
 
 PAGE_SIZE = 4096
@@ -49,7 +51,7 @@ class OutOfMemory(Exception):
 
 
 class PhysicalMemory:
-    """A pool of ``n_frames`` page frames in one flat backing buffer.
+    """A pool of ``n_frames`` page frames in one demand-zero mapping.
 
     ``fragmented=True`` makes the allocator hand out alternating frames so
     that multi-page buffers are physically non-contiguous — the worst case
@@ -61,7 +63,7 @@ class PhysicalMemory:
     def __init__(self, n_frames=65536, fragmented=False):
         self.n_frames = n_frames
         self.fragmented = fragmented
-        self._backing = bytearray()
+        self._map_frames()
         self._refcount = {}
         # Free runs [start, end), highest first: frame 0 is allocated first.
         self._extents = [[0, n_frames]] if n_frames else []
@@ -112,20 +114,20 @@ class PhysicalMemory:
 
     # ------------------------------------------------------------ backing
 
+    def _map_frames(self):
+        """Start from a fresh, all-zero mapping with no frame touched."""
+        self._mem = mmap.mmap(-1, self.n_frames * PAGE_SIZE)
+        self._view = memoryview(self._mem)
+        self._touched = bytearray(self.n_frames)
+
     def _claim(self, frame):
         """Zero ``frame``'s page and mark it allocated (refcount 1)."""
-        end = (frame + 1) * PAGE_SIZE
-        backing = self._backing
-        if end > len(backing):
-            # Geometric growth, zero-filled; capped at the pool size.
-            grow = max(end, 2 * len(backing), 1 << 20)
-            cap = self.n_frames * PAGE_SIZE
-            if grow > cap:
-                grow = cap
-            backing.extend(bytes(grow - len(backing)))
-        else:
+        if self._touched[frame]:
             # Reclaimed page: scrub whatever the previous owner left.
-            backing[end - PAGE_SIZE : end] = _ZERO_PAGE
+            start = frame * PAGE_SIZE
+            self._mem[start : start + PAGE_SIZE] = _ZERO_PAGE
+        else:
+            self._touched[frame] = 1
         self._refcount[frame] = 1
 
     # --------------------------------------------------------- allocation
@@ -293,13 +295,13 @@ class PhysicalMemory:
         if offset < 0 or offset + length > PAGE_SIZE:
             raise ValueError("read outside frame: off=%d len=%d" % (offset, length))
         start = frame * PAGE_SIZE + offset
-        return bytes(self._backing[start : start + length])
+        return self._mem[start : start + length]
 
     def write(self, frame, offset, data):
         if offset < 0 or offset + len(data) > PAGE_SIZE:
             raise ValueError("write outside frame: off=%d len=%d" % (offset, len(data)))
         start = frame * PAGE_SIZE + offset
-        self._backing[start : start + len(data)] = data
+        self._mem[start : start + len(data)] = data
 
     def copy_frame(self, src_frame, dst_frame):
         """Copy a whole frame (the CoW handler's page copy)."""
@@ -307,45 +309,27 @@ class PhysicalMemory:
 
     # ----------------------------------------------------- bulk run movers
     #
-    # With the flat backing a physically-contiguous run is contiguous in
-    # the buffer, so each mover is one slice copy no matter how many
-    # frames it spans.  :func:`repro.mem.addrspace.copy_range` rides on
-    # these.
+    # A physically-contiguous run is contiguous in the mapping, so each
+    # mover is one slice copy no matter how many frames it spans.
+    # :func:`repro.mem.addrspace.copy_range` rides on these.
 
     def read_run(self, frame, offset, out, pos, nbytes):
         """Copy ``nbytes`` starting at ``(frame, offset)`` into writable
         buffer ``out`` at ``pos``; the run may span multiple frames."""
         start = frame * PAGE_SIZE + offset
-        out[pos : pos + nbytes] = memoryview(self._backing)[start : start + nbytes]
+        out[pos : pos + nbytes] = self._view[start : start + nbytes]
 
     def write_run(self, frame, offset, data_mv, pos, nbytes):
         """Copy ``nbytes`` from buffer ``data_mv`` at ``pos`` into the run
         starting at ``(frame, offset)``."""
         start = frame * PAGE_SIZE + offset
-        self._backing[start : start + nbytes] = data_mv[pos : pos + nbytes]
+        self._view[start : start + nbytes] = data_mv[pos : pos + nbytes]
 
     def copy_run(self, src_frame, src_off, dst_frame, dst_off, nbytes):
-        """Frame-to-frame run copy (``memcpy`` between physical runs)."""
-        backing = self._backing
-        src = src_frame * PAGE_SIZE + src_off
-        dst = dst_frame * PAGE_SIZE + dst_off
-        if src == dst or nbytes <= 0:
-            return
-        if src < dst + nbytes and dst < src + nbytes:
-            # Overlapping ranges: slicing the bytearray materializes a
-            # temporary copy, making the assignment a memmove.
-            backing[dst : dst + nbytes] = backing[src : src + nbytes]
-        else:
-            backing[dst : dst + nbytes] = memoryview(backing)[src : src + nbytes]
-
-    def view(self, frame):
-        """Mutable memoryview of a frame's bytes (engine fast path).
-
-        Transient use only: a live view pins the backing buffer and
-        blocks growth (``BufferError`` on the next first-touch alloc).
-        """
-        start = frame * PAGE_SIZE
-        return memoryview(self._backing)[start : start + PAGE_SIZE]
+        """Frame-to-frame run copy (``memmove`` between physical runs)."""
+        if nbytes > 0:
+            self._mem.move(dst_frame * PAGE_SIZE + dst_off,
+                           src_frame * PAGE_SIZE + src_off, nbytes)
 
     # -------------------------------------------------------- checkpointing
 
@@ -353,33 +337,30 @@ class PhysicalMemory:
         """Plain-data image of every allocated frame: ``{frame: bytes}``.
 
         The per-frame dict shape is the ckpt payload contract (stable
-        across the flat-backing rewrite): restore into a pool of any
-        layout via :meth:`load_frames`.
+        across backing rewrites): restore into a pool of any layout via
+        :meth:`load_frames`.
         """
-        backing = self._backing
+        mem = self._mem
         out = {}
         for frame in self._refcount:
             start = frame * PAGE_SIZE
-            out[frame] = bytes(backing[start : start + PAGE_SIZE])
+            out[frame] = mem[start : start + PAGE_SIZE]
         return out
 
     def load_frames(self, mapping):
         """Replace frame contents from a :meth:`snapshot_frames` image.
 
-        Only touches the backing bytes; the caller restores refcounts and
-        the free list separately (ckpt machine restore).
+        Every frame outside the image reads zero afterwards.  Only the
+        bytes are restored; the caller restores refcounts and the free
+        list separately (ckpt machine restore).
         """
-        del self._backing[:]
-        backing = self._backing
-        for frame in sorted(mapping):
-            end = (frame + 1) * PAGE_SIZE
-            if end > len(backing):
-                grow = max(end, 2 * len(backing), 1 << 20)
-                cap = self.n_frames * PAGE_SIZE
-                if grow > cap:
-                    grow = cap
-                backing.extend(bytes(grow - len(backing)))
-            backing[end - PAGE_SIZE : end] = mapping[frame]
+        self._map_frames()
+        mem = self._mem
+        touched = self._touched
+        for frame, data in mapping.items():
+            start = frame * PAGE_SIZE
+            mem[start : start + PAGE_SIZE] = data
+            touched[frame] = 1
 
     def paddr(self, frame, offset=0):
         return frame * PAGE_SIZE + offset

@@ -7,7 +7,18 @@ start, ``Timeout`` expiry and ``Compute`` end instead of a fresh closure
 per event; ``_handle`` tests the exact request types before falling back
 to ``isinstance`` for subclasses.  A finished process leaves
 ``env.processes``, so a long-running environment holds only live ones.
+
+A kill delivered to a blocked process resumes it at once, while the
+wakeup it was blocked on (a ``Timeout`` expiry, a zero-cycle ``Compute``,
+a ``WaitEvent`` trigger) stays scheduled.  Every wakeup therefore carries
+the process's *wake generation*, which a forced kill advances: a stale
+wakeup finds the generation moved on and does nothing, so a process that
+catches the kill and blocks again is woken only by its new request.  The
+wakeups of generation 0 are the plain bound methods, so a process that is
+never killed while blocked pays one integer compare per wakeup.
 """
+
+from functools import partial
 
 from repro.sim.events import Event
 from repro.sim.requests import Compute, Timeout, WaitEvent
@@ -49,8 +60,12 @@ class Process:
         self.result = None
         self._pending_exc = None
         self._compute = None  # reused by CoreSet for every Compute
-        # The one callback every wakeup schedules: _resume(None).
+        # The wakeups of the current wake generation: _wake is scheduled
+        # for every start, Timeout expiry and Compute end, _wake_event is
+        # registered on every awaited event.
+        self._gen = 0
         self._wake = self._resume
+        self._wake_event = self._on_event
 
     def __repr__(self):
         return "<Process %s pid=%d %s>" % (self.name, self.pid, self.state)
@@ -83,11 +98,15 @@ class Process:
     def _deliver_kill(self):
         # Only force-resume if still blocked with the kill pending; the
         # process may have resumed (and died) on its own in the meantime.
+        # The wakeup it was blocked on is now stale: a new generation.
         if self.state == BLOCKED and self._pending_exc is not None:
-            self._resume(None)
+            gen = self._gen = self._gen + 1
+            self._wake = partial(self._resume, None, gen)
+            self._wake_event = partial(self._on_event, gen=gen)
+            self._resume(None, gen)
 
-    def _resume(self, value=None):
-        if self.state == DONE:
+    def _resume(self, value=None, gen=0):
+        if gen != self._gen or self.state == DONE:
             return
         self.state = RUNNING
         try:
@@ -119,22 +138,21 @@ class Process:
             env.schedule(request.cycles, self._wake)
         elif isinstance(request, WaitEvent):
             self.state = BLOCKED
-            request.event.add_callback(self._on_event)
+            request.event.add_callback(self._wake_event)
         elif isinstance(request, Event):
             # Allow yielding a bare Event as shorthand for WaitEvent.
             self.state = BLOCKED
-            request.add_callback(self._on_event)
+            request.add_callback(self._wake_event)
         else:
             exc = TypeError("process %s yielded %r" % (self.name, request))
-            self.env.schedule(0, lambda: self._resume(exc))
+            gen = self._gen
+            self.env.schedule(0, lambda: self._resume(exc, gen))
 
-    def _on_event(self, event):
-        if self.state == DONE:
-            return
+    def _on_event(self, event, gen=0):
         if event.exception is not None:
-            self._resume(event.exception)
+            self._resume(event.exception, gen)
         else:
-            self._resume(event.value)
+            self._resume(event.value, gen)
 
     def _finish(self, result, exc):
         self.state = DONE

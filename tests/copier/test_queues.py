@@ -40,7 +40,7 @@ class TestRingQueue:
         assert ring.epoch == 5
 
     def test_acquire_without_publish_blocks_consumer(self):
-        """The valid-bit protocol: an acquired-but-unfilled slot stalls the
+        """The publish protocol: an acquired-but-unfilled slot stalls the
         tail (the consumer never skips unpublished slots)."""
         ring = RingQueue(8)
         idx_a = ring.acquire()
@@ -58,6 +58,17 @@ class TestRingQueue:
         for idx in reversed(slots):
             ring.publish(idx, "task-%d" % idx)
         assert ring.drain() == ["task-0", "task-1", "task-2"]
+
+    def test_publish_none_rejected(self):
+        """``None`` marks a slot acquired but not yet published, so it
+        cannot be an item."""
+        ring = RingQueue(4)
+        index = ring.acquire()
+        with pytest.raises(ValueError):
+            ring.publish(index, None)
+        assert ring.pop() is None
+        ring.publish(index, "item")
+        assert ring.pop() == "item"
 
     def test_capacity_one(self):
         ring = RingQueue(1)

@@ -317,3 +317,24 @@ def test_snapshot_frames_roundtrip():
     other.load_frames(image)
     for i, frame in enumerate(frames):
         assert other.read(frame, 0, 64) == bytes([i + 1]) * 64
+
+
+def test_highest_frame_of_large_pool_reads_zero():
+    phys = PhysicalMemory(n_frames=262144)
+    top = phys.n_frames - 1
+    assert phys.alloc_frame_in(top, top + 1) == top
+    assert phys.read(top, 0, PAGE_SIZE) == b"\x00" * PAGE_SIZE
+    phys.write(top, PAGE_SIZE - 3, b"end")
+    assert phys.read(top, PAGE_SIZE - 3, 3) == b"end"
+
+
+def test_load_frames_zeroes_every_frame_outside_the_image():
+    phys = PhysicalMemory(n_frames=16)
+    frames = [phys.alloc_frame() for _ in range(6)]
+    for frame in frames:
+        phys.write(frame, 0, bytes([frame + 1]) * PAGE_SIZE)
+    image = {3: b"\x33" * PAGE_SIZE, 9: b"\x99" * PAGE_SIZE}
+    phys.load_frames(image)
+    for frame in range(phys.n_frames):
+        expect = image.get(frame, b"\x00" * PAGE_SIZE)
+        assert phys.read(frame, 0, PAGE_SIZE) == expect, frame

@@ -11,8 +11,10 @@ time.  After every step the two runs must agree on the clock, the event
 count, the ``(now, process)`` resume sequence, the ``CycleStats``
 cycles, instructions and core cycles, and every core's busy cycles.  The
 programs mix Computes shorter than, equal to and longer than the
-timeslice, zero-cycle Computes, ``Timeout``, ``WaitEvent`` and kills that
-land in the middle of a Compute.
+timeslice, zero-cycle Computes, ``Timeout``, ``WaitEvent`` and kills.  A
+kill lands mid-Compute or while the process is blocked on a ``Timeout``,
+a zero-cycle ``Compute`` or a ``WaitEvent``, and half the processes
+catch it and carry on.
 """
 
 import random
@@ -56,8 +58,10 @@ class _RefCore:
 
 
 class ReferenceCoreSet:
-    """The historic CoreSet, verbatim apart from the class names and the
-    accounting call (``CycleStats.account`` lives on as ``_account``)."""
+    """The historic CoreSet, verbatim apart from the class names, the
+    accounting call (``CycleStats.account`` lives on as ``_account``) and
+    the wakeup each lambda calls (``Process._wake``, which carries the
+    process's wake generation)."""
 
     def __init__(self, env, n_cores, timeslice=100_000):
         if n_cores < 1:
@@ -76,7 +80,7 @@ class ReferenceCoreSet:
         if request.cycles == 0:
             # Zero-length compute still acts as a scheduling point.
             process.state = proc_mod.BLOCKED
-            self.env.schedule(0, lambda: process._resume(None))
+            self.env.schedule(0, lambda: process._wake())
             return
         state = _RefComputeState(process, request)
         process.state = proc_mod.READY
@@ -132,14 +136,14 @@ class ReferenceCoreSet:
             self._dispatch(core)
             if process.state != proc_mod.DONE:
                 process.state = proc_mod.BLOCKED
-                self.env.schedule(0, lambda: process._resume(None))
+                self.env.schedule(0, lambda: process._wake())
             return
         if state.remaining == 0:
             core.current = None
             process._compute_state = None
             self._dispatch(core)
             process.state = proc_mod.BLOCKED
-            self.env.schedule(0, lambda: process._resume(None))
+            self.env.schedule(0, lambda: process._wake())
             return
         # More cycles to run: rotate if anyone else is waiting for this core.
         contended = bool(core.pinned_queue) or (
@@ -188,24 +192,35 @@ def make_plan(seed):
     fires = [rng.randint(0, horizon) for _ in range(n_events)]
     kills = [(rng.randint(1, horizon), rng.randrange(len(procs)))
              for _ in range(rng.randint(0, 4))]
-    return n_cores, ts, n_events, procs, fires, kills
+    # A kill at a random cycle seldom finds a process blocked on a Timeout
+    # and almost never on a zero-cycle Compute, so some of those requests
+    # get their own kill, at a delay inside the block.
+    blocked_kills = {}
+    for spec in procs:
+        for step, action in enumerate(spec["actions"]):
+            if action[:2] == ("compute", 0) or action[0] == "timeout":
+                if rng.random() < 0.5:
+                    blocked_kills[spec["name"], step] = rng.randint(
+                        0, action[1] if action[0] == "timeout" else 0)
+    return n_cores, ts, n_events, procs, fires, kills, blocked_kills
 
 
 def build(plan, reference):
     """One environment running ``plan``; returns (env, resume log,
     pid -> process name)."""
-    n_cores, ts, n_events, procs, fires, kills = plan
+    n_cores, ts, n_events, procs, fires, kills, blocked_kills = plan
     env = Environment(n_cores=n_cores, timeslice=ts)
     if reference:
         env.cores = ReferenceCoreSet(env, n_cores, ts)
     log = []
     events = [env.event() for _ in range(n_events)]
+    waiting_on = {}  # process name -> the kind of its current request
     live = {}
     pid_names = {}
 
     def program(spec):
         name = spec["name"]
-        for action in spec["actions"]:
+        for step, action in enumerate(spec["actions"]):
             if action[0] == "compute":
                 request = Compute(action[1], tag=name[:2] if action[1] % 2
                                   else "app", instructions=action[2])
@@ -213,12 +228,24 @@ def build(plan, reference):
                 request = Timeout(action[1])
             else:
                 request = WaitEvent(events[action[1]])
+            waiting_on[name] = "zero-cycle Compute" if action[:2] == (
+                "compute", 0) else action[0]
+            if (name, step) in blocked_kills:
+                # Scheduled before the yield, so a zero delay lands after
+                # the process blocks and before its wakeup runs.
+                env.schedule(blocked_kills[name, step], lambda: kill(spec))
+            start = env.now
             try:
                 yield request
             except ProcessKilled:
                 log.append((env.now, name, "killed"))
                 if not spec["survives_kill"]:
                     raise
+            else:
+                # Only its own expiry wakes a sleeper, never the stale
+                # wakeup of a request a kill interrupted.
+                assert action[0] != "timeout" or \
+                    env.now == start + action[1], (name, step)
             log.append((env.now, name))
 
     def spawn(spec):
@@ -236,16 +263,11 @@ def build(plan, reference):
         env.schedule(at, lambda ev=events[i]: ev.succeed(env.now))
 
     def kill(spec):
-        # A process that survives its kill is only killed mid-Compute: a
-        # blocked survivor is also resumed by the stale wakeup it was
-        # blocked on, a known process-layer defect outside the scheduler.
         proc = live.get(spec["name"])
         if proc is None:
             return
-        if spec["survives_kill"] and proc.state not in (proc_mod.READY,
-                                                        proc_mod.RUNNING):
-            return
-        log.append((env.now, spec["name"], "kill", proc.state))
+        log.append((env.now, spec["name"], "kill", proc.state,
+                    waiting_on.get(spec["name"], "start")))
         proc.kill()
 
     for at, k in kills:
@@ -304,9 +326,13 @@ def run_pair(seed, seen):
         _note_coverage(ref_env.cores, seen)
     assert env.idle
     for entry in log:
-        if entry[2:3] == ("kill",) and entry[3] in (proc_mod.READY,
-                                                    proc_mod.RUNNING):
+        if entry[2:3] != ("kill",):
+            continue
+        if entry[3] in (proc_mod.READY, proc_mod.RUNNING):
             seen["kill lands mid-Compute"] += 1
+        elif entry[3] == proc_mod.BLOCKED and entry[4] in (
+                "timeout", "wait", "zero-cycle Compute"):
+            seen["kill lands blocked on " + entry[4]] += 1
     return steps
 
 
@@ -316,4 +342,4 @@ def test_cores_match_reference_scheduler(block):
     for seed in range(block * 40, (block + 1) * 40):
         run_pair(seed, seen)
     # Every block reaches the states the fast path must get right.
-    assert len(seen) == 3 and min(seen.values()) >= 3, seen
+    assert len(seen) == 6 and min(seen.values()) >= 3, seen

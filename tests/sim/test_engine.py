@@ -315,6 +315,77 @@ def test_kill_mid_compute_aborts_remaining_work():
     assert env.now < 200
 
 
+def test_kill_survivor_is_not_woken_by_stale_timeout():
+    """A process that catches a kill delivered while it sleeps and sleeps
+    again wakes when its new Timeout ends, not when the old one would
+    have."""
+    env = Environment()
+    from repro.sim import ProcessKilled
+
+    woke = []
+
+    def survivor():
+        try:
+            yield Timeout(100)
+        except ProcessKilled:
+            woke.append(("killed", env.now))
+        yield Timeout(1000)
+        woke.append(("slept", env.now))
+
+    p = env.spawn(survivor())
+    env.schedule(10, lambda: p.kill())
+    env.run()
+    assert woke == [("killed", 10), ("slept", 1010)]
+    assert p.terminated.triggered and not p.is_alive
+
+
+def test_kill_survivor_is_not_woken_by_stale_event():
+    """The same for a kill delivered while the process waits on an event:
+    the event's later trigger must not resume the survivor's next wait."""
+    env = Environment()
+    from repro.sim import ProcessKilled
+
+    first, second = env.event(), env.event()
+    woke = []
+
+    def survivor():
+        try:
+            yield WaitEvent(first)
+        except ProcessKilled:
+            woke.append(("killed", env.now))
+        value = yield WaitEvent(second)
+        woke.append((value, env.now))
+
+    p = env.spawn(survivor())
+    env.schedule(10, lambda: p.kill())
+    env.schedule(50, lambda: first.succeed("first"))
+    env.schedule(80, lambda: second.succeed("second"))
+    env.run()
+    assert woke == [("killed", 10), ("second", 80)]
+    assert not p.is_alive
+
+
+def test_kill_survivor_computes_to_the_end():
+    """A stale wakeup landing mid-Compute must not resume the survivor
+    early: its Compute runs to the end, then it finishes once."""
+    env = Environment(n_cores=1)
+    from repro.sim import ProcessKilled
+
+    def survivor():
+        try:
+            yield Timeout(100)
+        except ProcessKilled:
+            pass
+        yield Compute(200)
+        return env.now
+
+    p = env.spawn(survivor())
+    env.schedule(10, lambda: p.kill())
+    env.run()
+    assert p.result == 210
+    assert env.stats.cycles[p.pid]["app"] == 200
+
+
 def test_invalid_yield_raises_typeerror_into_process():
     env = Environment()
     caught = []
