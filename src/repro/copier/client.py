@@ -65,6 +65,9 @@ class CopierClient:
     #: the ring capacity + pending list).
     INDEX_CAP = 2048
 
+    #: Index size above which a csync prunes the finished tasks.
+    PRUNE_SIZE = 64
+
     def __init__(self, service, aspace, name="", queue_capacity=1024,
                  process=None, segment_bytes=None):
         self.service = service
@@ -83,6 +86,13 @@ class CopierClient:
         self.desc_pool = DescriptorPool(self.segment_bytes)
         self.stats = ClientStats()
         self.outstanding_bytes = 0  # admitted async bytes not yet retired
+        #: Unretired tasks carrying a deadline or a cancel mark: while it
+        #: is zero the overload reap has nothing to look for.
+        self.overload_marked = 0
+        #: Complete but unretired tasks, as an insertion-ordered set:
+        #: entered where a task's last segment is marked, left at
+        #: retirement.  The completion sweep retires what remains.
+        self.landed = {}
         self.sigsegv_handler = None  # default: kill the attached process
 
     # -------------------------------------------------------------- barriers
@@ -196,6 +206,8 @@ class CopierClient:
         if len(self.task_index) >= self.INDEX_CAP:
             self._prune_index(force=True)
         self.task_index.add(task)
+        if deadline is not None:
+            self.overload_marked += 1
         self.stats.submitted += 1
         self.outstanding_bytes += src.length
         trace = self.service.trace
@@ -284,6 +296,8 @@ class CopierClient:
                 continue
             if queue_kind is not None and task.queue_kind != queue_kind:
                 continue
+            if task.deadline is None:
+                self.overload_marked += 1
             task.cancelled = True
             count += 1
         return count
@@ -331,15 +345,21 @@ class CopierClient:
             if not remaining:
                 break
             next_remaining = []
+            dst_start = task.dst.start
+            dst_end = dst_start + task.dst.length
+            descriptor = task.descriptor
+            seg_bytes = descriptor.segment_bytes
             for start, end in remaining:
-                lo = max(start, task.dst.start)
-                hi = min(end, task.dst.end)
+                lo = max(start, dst_start)
+                hi = min(end, dst_end)
                 if lo >= hi:
                     next_remaining.append((start, end))
                     continue
-                covered = Region(region.aspace, lo, hi - lo)
-                segs = task.segments_covering(covered)
-                segs_ready = all(task.descriptor.is_ready(s) for s in segs)
+                # The segments covering [lo, hi) — the index only yields
+                # tasks in the region's address space.
+                first = (lo - dst_start) // seg_bytes
+                last = (hi - 1 - dst_start) // seg_bytes
+                segs_ready = descriptor.range_ready_segments(first, last)
                 if task.state == task_mod.ABORTED:
                     if not segs_ready:
                         if task.error is not None:
@@ -349,7 +369,7 @@ class CopierClient:
                 elif not segs_ready:
                     return False
                 elif task.crc_expect:
-                    deciding.append((task, segs))
+                    deciding.append((task, range(first, last + 1)))
                 if start < lo:
                     next_remaining.append((start, lo))
                 if hi < end:
@@ -442,7 +462,7 @@ class CopierClient:
             fn(*args)
 
     def _prune_index(self, force=False):
-        if force or len(self.task_index) > 64:
+        if force or len(self.task_index) > self.PRUNE_SIZE:
             self.task_index.prune()
 
     # ------------------------------------------------------------- snapshot

@@ -19,12 +19,15 @@ list.
 """
 
 import zlib
+from operator import attrgetter
 
 from repro.copier import task as task_mod
 from repro.copier.absorption import resolve_sources
 from repro.mem.faults import MemoryFault
 from repro.sim import Compute
 from repro.sim.trace import IntegrityMismatch, TaskFinished
+
+_order_key = attrgetter("order_key")
 
 
 class CompletionHandler:
@@ -37,8 +40,16 @@ class CompletionHandler:
 
     def sweep(self, client):
         """Finalize tasks completed out-of-band (DMA callbacks, promotion)
-        without charging handler-dispatch time inline."""
-        for task in list(client.pending):
+        without charging handler-dispatch time inline.
+
+        The complete, unretired tasks are exactly ``client.landed``
+        (entered where segments are marked, left at retirement); they
+        are visited in merged order."""
+        landed = client.landed
+        if not landed:
+            return
+        client.landed = {}
+        for task in sorted(landed, key=_order_key):
             if not task.is_finished and task.descriptor.all_ready:
                 self.verify_integrity(client, task)
                 task.state = task_mod.DONE
@@ -258,7 +269,11 @@ class CompletionHandler:
 
     def reap_overload(self, client):
         """Retire every cancelled/expired task in the pending list;
-        returns how many were retired (the worker's did-work signal)."""
+        returns how many were retired (the worker's did-work signal).
+        Returns at once while the client holds no unretired task with a
+        deadline or a cancel mark (``client.overload_marked``)."""
+        if not client.overload_marked:
+            return 0
         now = self.service.env.now
         reaped = 0
         for task in list(client.pending):
@@ -361,11 +376,17 @@ class CompletionHandler:
         pins, settle the outstanding-byte meter, count global progress
         (the watchdog's liveness signal), emit ``task-finished`` and fire
         the task's ``on_retire`` hook (exactly once — the async facade
-        parks coroutine futures on it)."""
+        parks coroutine futures on it).  The task is reported to the
+        client's index for its next prune, and leaves ``client.landed``
+        and the client's count of deadline'd or cancel-marked tasks."""
         self.unpin(task)
         task.crc_expect = None  # nothing left to check once retired
         client.outstanding_bytes = max(0,
                                        client.outstanding_bytes - task.length)
+        if task.deadline is not None or task.cancelled:
+            client.overload_marked -= 1
+        client.landed.pop(task, None)
+        client.task_index.retire(task)
         self.service.tasks_retired += 1
         trace = self.service.trace
         if trace.active:

@@ -25,6 +25,7 @@ pending-list callers keep the tasks still in ``pending`` and order them
 by merged order (:meth:`PendingTasks.earlier`).
 """
 
+from itertools import islice
 from operator import attrgetter
 
 #: log2 of the index granule: tasks are bucketed per 64 KiB of address
@@ -60,19 +61,22 @@ class TaskIndex:
     A task enters at submission (or when it is shed) and leaves only when
     :meth:`prune` drops it after it finished: a finished but unpruned
     task stays visible, so an aborted copy still fails a csync over its
-    range.  Iteration and the query results follow append order (newest
-    last), which is not ``task_id`` order: a submitter may yield for a
-    ring slot between creating a task and appending it.  Queries are
-    lazy: finish iterating one before adding or pruning.
+    range.  Retirement reports each finished task once (:meth:`retire`;
+    a shed task arrives finished), so a prune touches only those tasks,
+    not the whole index.  Iteration and the query results follow append
+    order (newest last), which is not ``task_id`` order: a submitter may
+    yield for a ring slot between creating a task and appending it.
+    Queries are lazy: finish iterating one before adding or pruning.
     """
 
-    __slots__ = ("_seq", "_next_seq", "_by_dst", "_by_src")
+    __slots__ = ("_seq", "_next_seq", "_by_dst", "_by_src", "_retired")
 
     def __init__(self):
         self._seq = {}        # task -> append sequence, in append order
         self._next_seq = 0
         self._by_dst = {}     # (asid, granule) -> {task: seq}
         self._by_src = {}
+        self._retired = []    # finished since the last prune
 
     def __len__(self):
         return len(self._seq)
@@ -92,11 +96,21 @@ class TaskIndex:
             asid, first, last = _granules(region)
             for granule in range(first, last + 1):
                 table.setdefault((asid, granule), {})[task] = seq
+        if task.is_finished:
+            self._retired.append(task)
+
+    def retire(self, task):
+        """Record that ``task`` finished: the next :meth:`prune` drops it."""
+        self._retired.append(task)
 
     def prune(self):
-        """Drop every finished task from its own buckets."""
-        for task in [t for t in self._seq if t.is_finished]:
-            del self._seq[task]
+        """Drop every task retired since the last prune from its own
+        buckets."""
+        retired, self._retired = self._retired, []
+        seqs = self._seq
+        for task in retired:
+            if seqs.pop(task, None) is None:
+                continue  # never indexed here
             for table, region in ((self._by_dst, task.dst),
                                   (self._by_src, task.src)):
                 asid, first, last = _granules(region)
@@ -173,18 +187,27 @@ class PendingTasks:
         if not self._tasks or self._tasks[-1].order_key <= task.order_key:
             self._tasks.append(task)
             return
-        lo, hi = 0, len(self._tasks)
+        self._tasks.insert(self._after(task.order_key), task)
+
+    def _after(self, key):
+        """Position of the first task whose order key exceeds ``key``."""
+        tasks = self._tasks
+        lo, hi = 0, len(tasks)
         while lo < hi:
             mid = (lo + hi) // 2
-            if self._tasks[mid].order_key <= task.order_key:
+            if tasks[mid].order_key <= key:
                 lo = mid + 1
             else:
                 hi = mid
-        self._tasks.insert(lo, task)
+        return lo
 
     def remove(self, task):
         self._tasks.remove(task)
         self._members.discard(task)
+
+    def following(self, task):
+        """Pending tasks after ``task`` in merged order, lazily."""
+        return islice(self._tasks, self._after(task.order_key), None)
 
     def head(self):
         return self._tasks[0] if self._tasks else None

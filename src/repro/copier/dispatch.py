@@ -8,7 +8,8 @@ AVX work so both units finish together — DMA riding piggyback on the AVX
 copy instead of the CPU waiting for it.
 """
 
-from repro.copier.absorption import absorbed_bytes, resolve_round_sources
+from repro.copier.absorption import (SourceSpan, _nearest_producer,
+                                     absorbed_bytes, resolve_round_sources)
 from repro.copier.task import Region
 from repro.mem.faults import MemoryFault
 from repro.mem.phys import PAGE_SIZE
@@ -22,9 +23,12 @@ class SegmentJob:
     def __init__(self, task, seg_index, spans):
         self.task = task
         self.seg_index = seg_index
-        dst = task.dst_range_of_segment(seg_index)
-        self.dst_va = dst.start
-        self.nbytes = dst.length
+        # task.dst_range_of_segment(seg_index), without the Region.
+        seg = task.descriptor.segment_bytes
+        dst = task.dst
+        start = dst.start + seg_index * seg
+        self.dst_va = start
+        self.nbytes = min(seg, dst.start + dst.length - start)
         self.spans = spans
 
     @property
@@ -168,16 +172,27 @@ class Dispatcher:
 
         jobs = []
         budget = budget_bytes
+        absorbing = self.use_absorption
         for task in tasks:
+            # A task no earlier unfinished task writes into reads every
+            # segment from its own source: one lookup decides them all.
+            src = task.src
+            fed = absorbing and _nearest_producer(pending, task, src) is not None
+            seg_bytes = task.descriptor.segment_bytes
             for seg_index in task.segments_pending():
                 if budget <= 0:
                     break
-                region = task.src_range_of_segment(seg_index)
-                # Only prerequisites run ahead of a reader in this round.
-                spans = resolve_round_sources(
-                    pending, task, region, prereqs,
-                    enabled=self.use_absorption
-                )
+                if fed:
+                    # Only prerequisites run ahead of a reader in this
+                    # round.
+                    spans = resolve_round_sources(
+                        pending, task, task.src_range_of_segment(seg_index),
+                        prereqs, enabled=True)
+                else:
+                    offset = seg_index * seg_bytes
+                    spans = [SourceSpan(src.aspace, src.start + offset,
+                                        min(seg_bytes, src.length - offset),
+                                        False)]
                 job = SegmentJob(task, seg_index, spans)
                 jobs.append(job)
                 budget -= job.nbytes
@@ -235,14 +250,16 @@ class Dispatcher:
         return prereqs
 
     def _fusable_followers(self, pending, round_tasks, budget_bytes):
-        """e-piggyback: adjacent tasks with no data dependency on the round."""
+        """e-piggyback: adjacent tasks with no data dependency on the round.
+
+        Followers come after the round's last task in merged order, so
+        the walk starts there rather than at the head of the list."""
         params = self.params
         fused = []
         total = sum(t.length for t in round_tasks)
-        for task in pending:
-            if task in round_tasks or task.lazy or task.is_finished:
-                continue
-            if task.order_key < round_tasks[-1].order_key:
+        in_round = set(round_tasks)
+        for task in pending.following(round_tasks[-1]):
+            if task in in_round or task.lazy or task.is_finished:
                 continue
             if total + task.length > max(budget_bytes, params.i_piggyback_threshold):
                 break
@@ -266,9 +283,6 @@ class Dispatcher:
         round where the client will look first.
         """
         params = self.params
-        candidates = self._candidate_runs(jobs)
-        if not candidates:
-            return []
         total_bytes = sum(j.nbytes for j in jobs)
         avx_rate = params.avx_bytes_per_cycle
         dma_rate = params.dma_bytes_per_cycle
@@ -290,6 +304,8 @@ class Dispatcher:
                 target = floor
             else:
                 return []
+        # Only a round that can take DMA work translates its pages.
+        candidates = self._candidate_runs(jobs)
         chosen = []
         dma_bytes = 0
         for run in reversed(candidates):

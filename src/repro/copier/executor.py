@@ -28,6 +28,7 @@ import zlib
 from repro.copier.absorption import resolve_sources
 from repro.copier.errors import (DMAAbortError, DMASubmitError,
                                  FramePoisonError, PagePinError)
+from repro.copier.task import Region
 from repro.hw.dma import DMASubtask
 from repro.mem.addrspace import copy_range
 from repro.mem.faults import MemoryFault, SegmentationFault
@@ -277,14 +278,10 @@ class CopyExecutor:
 
     # ------------------------------------------------------------ execution
 
-    def has_runnable(self, client):
-        if client.pending.runnable_head() is not None:
-            return True
-        now = self.service.env.now
-        return any(t.lazy and t.lazy_deadline is not None and t.lazy_deadline <= now
-                   for t in client.pending)
-
     def next_head(self, client):
+        """The task a round for ``client`` starts at: the first pending
+        non-lazy task, else the first lazy one whose period elapsed;
+        ``None`` when nothing is runnable."""
         head = client.pending.runnable_head()
         if head is not None:
             return head
@@ -371,7 +368,7 @@ class CopyExecutor:
             cycles = int(job.nbytes / params.avx_bytes_per_cycle) \
                 + _AVX_SEGMENT_OVERHEAD
             yield Compute(cycles, tag="copier-copy")
-            dst_region = job.task.dst_range_of_segment(job.seg_index)
+            dst_region = Region(job.task.dst.aspace, job.dst_va, job.nbytes)
             try:
                 self.write_spans(client, job.task, job.seg_index, dst_region,
                                  job.spans)
@@ -447,6 +444,8 @@ class CopyExecutor:
                 # csync waiters fire once per run, not once per segment.
                 run.task.descriptor.mark_range(run.jobs[0].seg_index,
                                                run.jobs[-1].seg_index)
+                if run.task.descriptor.all_ready:
+                    client.landed[run.task] = None
                 run.task.dma_used = True
                 if run.task.crc_expect is not None:
                     # Checksum the intended bytes from the (pinned, still
@@ -513,7 +512,10 @@ class CopyExecutor:
                              bytes(view[:dst_region.length // 2]))
             else:
                 dst_as.write(dst_region.start, data)
-        task.descriptor.mark(seg_index)
+        descriptor = task.descriptor
+        descriptor.mark(seg_index)
+        if descriptor.all_ready:
+            client.landed[task] = None
         task.absorbed_bytes += absorbed
         client.stats.bytes_copied += dst_region.length
         client.stats.bytes_absorbed += absorbed

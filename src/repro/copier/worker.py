@@ -202,14 +202,17 @@ class CopierWorker:
                     did_work = True
                     yield from executor.handle_sync(client, task)
 
-        ready = [c for c in clients
-                 if c.pending and executor.has_runnable(c)]
-        client = service.scheduler.pick(ready)
+        heads = {}
+        for client in clients:
+            if client.pending:
+                head = executor.next_head(client)
+                if head is not None:
+                    heads[client] = head
+        client = service.scheduler.pick(heads)
         if client is not None:
-            head = executor.next_head(client)
             plan = service.dispatcher.build_round(
                 client.pending, service.scheduler.copy_slice_bytes,
-                head=head)
+                head=heads[client])
             if plan is not None and (plan.avx_jobs or plan.dma_runs):
                 did_work = True
                 yield from executor.execute_plan(client, plan)
@@ -283,6 +286,6 @@ class CopierWorker:
                     or not client.k_queues.copy.is_empty
                     or not client.u_queues.sync.is_empty
                     or not client.k_queues.sync.is_empty
-                    or executor.has_runnable(client)):
+                    or executor.next_head(client) is not None):
                 return True
         return False

@@ -167,10 +167,14 @@ def test_index_queries_match_brute_force_scans(seed):
         out += [pick() for _ in range(4)]
         r = pick(app)
         out.append(Region(app, r.start, 0))   # empty range
-        # Ranges that abut indexed tasks on either side.
+        # Ranges that abut indexed tasks on either side, and ranges that
+        # end on a segment boundary of a task's destination.
         for t in list(client.task_index)[-3:]:
             out.append(Region(t.dst.aspace, t.dst.end, 64))
             out.append(Region(t.src.aspace, t.src.start - 64, 64))
+            out.append(t.dst)
+            out.append(Region(t.dst.aspace, t.dst.start,
+                              min(t.dst.length, t.descriptor.segment_bytes)))
         return out
 
     def deadline():

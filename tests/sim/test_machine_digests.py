@@ -9,9 +9,13 @@ number or order of events, or in the copier's counters shows up here.
 
 The programs cover paths the benchmark workloads do not: a deep
 ``amemcpy`` window with chained copies, a copier-mode Redis run with
-auto-scaling across two Copier threads, and floating application
+auto-scaling across two Copier threads, floating application
 processes that contend with the Copier thread on two cores so that
-timeslices rotate.
+timeslices rotate, and a deep window mixing u- and k-mode, lazy,
+DMA-sized, deadline'd and cancelled copies (the overload reap,
+completion sweep and e-piggyback fusion all find work in it; its digest
+was recorded before the copier's round bookkeeping was made
+differential).
 
 The digests hold on both event loops (``COPIER_SLOWHEAP=1`` is the
 historic heap oracle) and under ``COPIER_SLOWPATH=1``; knobs that change
@@ -26,6 +30,8 @@ import random
 import pytest
 
 from repro.apps.rediskv import run_benchmark
+from repro.copier.errors import CopyAborted
+from repro.copier.task import Region
 from repro.kernel import System
 from repro.sim.process import Process
 
@@ -39,6 +45,8 @@ PINNED_DIGESTS = {
         "b947f33d0b83df5a7caaffd2f36915cd6ab14db0c96c30ff8cb7ebbe57ded48b",
     "floating_contention":
         "e7baa19300517dc84aacb2f0ff8657d38ab6cc518dbae57a8b0a4ec012f70969",
+    "overload_window":
+        "eac0e2d695245f4a3823282d4f5a67249cc1f7322c932670b4d288f46727f460",
 }
 
 
@@ -104,6 +112,69 @@ def _amemcpy_window(seed=3, n_copies=240, depth=24):
     return system
 
 
+def _overload_window(seed=7, n_copies=300, depth=40):
+    """A deep window of u-mode copies with k-mode copies keyed between
+    them (each submitted inside a trap/sysret pair), DMA-sized copies,
+    lazy and chained copies, copies that carry a deadline and copies
+    cancelled while in flight: the paths where the Copier's overload
+    reap, out-of-band completion sweep and e-piggyback fusion find
+    work."""
+    rng = random.Random(seed)
+    system = System(n_cores=4, copier=True, phys_frames=16384)
+    env = system.env
+    proc = system.create_process("overload-window")
+    client = proc.client
+    slot = 64 * 1024
+    blob = rng.randbytes(512 * 1024)
+    src_base = proc.mmap(len(blob), populate=True)
+    proc.write(src_base, blob)
+    n_slots = 2 * depth
+    dst_base = proc.mmap(n_slots * slot, populate=True)
+
+    def sync(dst, n):
+        try:
+            yield from client.csync(dst, n)
+        except CopyAborted:
+            pass  # a cancelled or deadline-missed copy decides the range
+
+    def run():
+        window = []
+        for i in range(n_copies):
+            if len(window) >= depth:
+                yield from sync(*window.pop(0))
+            n = rng.choice((64, 700, 4096, 9000, 20000, 49152, slot))
+            dst = dst_base + (i % n_slots) * slot
+            chained = [w for w in window if w[1] >= n]
+            if chained and rng.random() < 0.25:
+                src = chained[-1][0]
+            else:
+                src = src_base + rng.randrange(len(blob) - n + 1)
+            roll = rng.random()
+            deadline = None
+            if roll < 0.2:
+                deadline = env.now + rng.randrange(2_000, 60_000)
+            if roll >= 0.8:
+                yield from proc.trap()
+                yield from client.k_amemcpy(Region(proc.aspace, src, n),
+                                            Region(proc.aspace, dst, n),
+                                            deadline=deadline)
+                yield from proc.sysret()
+            else:
+                yield from client.amemcpy(dst, src, n,
+                                          lazy=0.7 <= roll < 0.8,
+                                          deadline=deadline)
+            window.append((dst, n))
+            if rng.random() < 0.08:
+                yield from client.cancel(*rng.choice(window))
+            yield system.app_compute(proc, rng.randrange(0, 400))
+        for dst, n in window:
+            yield from sync(dst, n)
+
+    sim_proc = proc.spawn(run(), affinity=0)
+    env.run_until(sim_proc.terminated, limit=10_000_000_000)
+    return system
+
+
 def _redis_autoscale():
     """Copier-mode Redis with auto-scaling over two Copier threads."""
     system = System(n_cores=4, copier=True, phys_frames=65536,
@@ -149,6 +220,7 @@ PROGRAMS = {
     "amemcpy_window": _amemcpy_window,
     "redis_autoscale": _redis_autoscale,
     "floating_contention": _floating_contention,
+    "overload_window": _overload_window,
 }
 
 
