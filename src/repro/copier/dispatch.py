@@ -177,7 +177,8 @@ class Dispatcher:
             # A task no earlier unfinished task writes into reads every
             # segment from its own source: one lookup decides them all.
             src = task.src
-            fed = absorbing and _nearest_producer(pending, task, src) is not None
+            fed = (absorbing
+                   and _nearest_producer(pending, task, src) is not None)
             seg_bytes = task.descriptor.segment_bytes
             for seg_index in task.segments_pending():
                 if budget <= 0:

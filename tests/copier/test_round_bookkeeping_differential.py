@@ -27,7 +27,7 @@ import random
 
 import pytest
 
-from repro.copier.absorption import resolve_round_sources
+from repro.copier.absorption import resolve_round_sources, resolve_sources
 from repro.copier.deps import TaskIndex, _granules
 from repro.copier.errors import CopyAborted, DeadlineMissed, FramePoisonError
 from repro.copier.task import Region
@@ -129,11 +129,10 @@ class Recorder:
     their historic scans; counts what each comparison covered."""
 
     def __init__(self, setup):
-        self.setup = setup
         self.client = client = setup.client
         service = setup.service
-        self.completion = completion = service.completion
-        self.dispatcher = dispatcher = service.dispatcher
+        completion = service.completion
+        dispatcher = service.dispatcher
         self.retired = []
         self.seen = dict.fromkeys(
             ("prunes", "pruned", "sweeps", "swept", "reaps", "reaped",
@@ -273,9 +272,9 @@ def _land_out_of_band(setup, rng):
     task = rng.choice(candidates)
     for seg in task.segments_pending():
         src = task.src_range_of_segment(seg)
-        spans = resolve_round_sources(pending, task, src, (),
-                                      enabled=setup.service.dispatcher
-                                      .use_absorption)
+        spans = resolve_sources(
+            pending, task, src,
+            enabled=setup.service.dispatcher.use_absorption)
         try:
             executor.write_spans(client, task, seg,
                                  task.dst_range_of_segment(seg), spans)
