@@ -398,10 +398,14 @@ def run_suite(repeat=3, quick=False, names=None):
     """Run the scenario suite; returns the baseline dict.
 
     Fault-injection and admission env knobs are disarmed for the duration
-    (they would perturb the pinned scenarios); ``COPIER_SLOWPATH`` is
-    honored so the slow path can be measured differentially.
+    (they would perturb the pinned scenarios); the oracle knobs
+    ``COPIER_SLOWHEAP`` and ``COPIER_SLOWPATH`` are honored so the
+    reference classes can be measured differentially.
     """
     import os
+
+    from repro.kernel.system import machine_classes
+    from repro.mem.pagewalk import PageWalkAddressSpace
 
     _install_interposers()
     saved = {}
@@ -430,7 +434,7 @@ def run_suite(repeat=3, quick=False, names=None):
         "seed": SEED,
         "repeat": 1 if quick else repeat,
         "python": sys.version.split()[0],
-        "slowpath": os.environ.get("COPIER_SLOWPATH") == "1",
+        "slowpath": machine_classes()[1] is PageWalkAddressSpace,
         "scenarios": results,
     }
 

@@ -114,7 +114,6 @@ def _serialize_aspace(aspace):
                  for v in aspace.vmas],
         "mmap_cursor": aspace._mmap_cursor,
         "fault_counts": dict(aspace.fault_counts),
-        "fastpath": aspace._fastpath,
         "lazy_teardown": [
             (vpn, pte.frame, pte.writable, pte.cow, pte.pin_count)
             for vpn, pte in aspace._lazy_teardown
@@ -382,7 +381,6 @@ def checkpoint(system, stores=(), deadline=None):
         },
         "env": {
             "now": env.now,
-            "seq": env._seq,
             "events_executed": env.events_executed,
             "cycles": {pid: dict(tags)
                        for pid, tags in env.stats.cycles.items()},
@@ -441,7 +439,6 @@ def _restore_aspace(aspace, data):
     aspace._mmap_cursor = data["mmap_cursor"]
     aspace.fault_counts = dict(data["fault_counts"])
     aspace._invalidation_hooks = []
-    aspace._fastpath = data["fastpath"]
     aspace._run_cache = {}
     teardown = []
     for vpn, frame, writable, cow, pins in data["lazy_teardown"]:
@@ -678,7 +675,6 @@ def restore(source, resume=True):
     env.processes.clear()
     e = p["env"]
     env.now = e["now"]
-    env._seq = e["seq"]
     env.events_executed = e["events_executed"]
     cycles = defaultdict(lambda: defaultdict(int))
     for pid, tags in e["cycles"].items():
@@ -706,15 +702,11 @@ def restore(source, resume=True):
         if data["asid"] == kernel_asid:
             aspace = system.kernel_as
         else:
-            aspace = AddressSpace(phys, name=data["name"])
+            aspace = type(system.kernel_as)(phys, name=data["name"])
         asid_map[data["asid"]] = _restore_aspace(aspace, data)
     svc = None
     if p["copier"] is not None:
         svc = _restore_copier(system, p["copier"], p["trace"], asid_map)
-        # Service construction scheduled (and discarded) start events,
-        # bumping the event sequence; re-pin it so post-restore heap
-        # tie-breaks replay exactly as the saved machine's would.
-        env._seq = e["seq"]
     for rec in p["processes"]:
         client = (svc.clients[rec["client"]]
                   if svc is not None and rec["client"] is not None else None)

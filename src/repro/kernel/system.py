@@ -1,12 +1,33 @@
 """The machine + kernel bundle shared by every experiment."""
 
+import os
+
 from repro.copier.service import CopierService
 from repro.hw.cache import CacheModel
 from repro.hw.params import MachineParams
 from repro.kernel.process import OSProcess
 from repro.mem.addrspace import AddressSpace, copy_range
+from repro.mem.pagewalk import PageWalkAddressSpace
 from repro.mem.phys import OutOfMemory, PhysicalMemory
 from repro.sim import Compute, Environment
+from repro.sim.heapengine import HeapEnvironment
+
+
+def machine_classes():
+    """``(environment class, address-space class)`` a machine is built from.
+
+    The production classes, unless a differential-oracle knob selects a
+    reference class: ``COPIER_SLOWHEAP=1`` the historic heapq event loop
+    (:class:`HeapEnvironment`), ``COPIER_SLOWPATH=1`` the historic
+    per-page walkers (:class:`PageWalkAddressSpace`).  Neither changes
+    the simulated machine.  This is the one place either knob is read.
+    """
+    env_cls = (HeapEnvironment if os.environ.get("COPIER_SLOWHEAP") == "1"
+               else Environment)
+    aspace_cls = (PageWalkAddressSpace
+                  if os.environ.get("COPIER_SLOWPATH") == "1"
+                  else AddressSpace)
+    return env_cls, aspace_cls
 
 
 class System:
@@ -27,9 +48,10 @@ class System:
         self._init_kwargs = dict(n_cores=n_cores, phys_frames=phys_frames,
                                  fragmented=fragmented, copier=bool(copier),
                                  timeslice=timeslice)
-        self.env = Environment(n_cores=n_cores, timeslice=timeslice)
+        env_cls, aspace_cls = machine_classes()
+        self.env = env_cls(n_cores=n_cores, timeslice=timeslice)
         self.phys = PhysicalMemory(phys_frames, fragmented=fragmented)
-        self.kernel_as = AddressSpace(self.phys, name="kernel")
+        self.kernel_as = aspace_cls(self.phys, name="kernel")
         self.cache = CacheModel(self.params)
         self.processes = []
         self.copier = None
@@ -41,7 +63,8 @@ class System:
     # ------------------------------------------------------------ processes
 
     def create_process(self, name, cgroup="root", queue_capacity=1024):
-        aspace = AddressSpace(self.phys, name=name)
+        # Every aspace of one machine is of the kernel aspace's class.
+        aspace = type(self.kernel_as)(self.phys, name=name)
         client = None
         if self.copier is not None:
             client = self.copier.create_client(

@@ -1,6 +1,5 @@
 """Per-process address spaces: page tables, demand paging, CoW, pinning."""
 
-import os
 from bisect import bisect_right
 from collections import deque
 
@@ -18,15 +17,6 @@ _DEFAULT_MMAP_BASE = 0x1000_0000
 #: cache wholesale (cheaper than LRU bookkeeping on the hot path, and the
 #: simulations in this repo never come close).
 _RUN_CACHE_LIMIT = 1 << 16
-
-
-def slowpath_enabled():
-    """True when ``COPIER_SLOWPATH=1`` forces the per-page walkers.
-
-    Read once per :class:`AddressSpace` construction — the differential
-    determinism tests build one system per setting.
-    """
-    return os.environ.get("COPIER_SLOWPATH") == "1"
 
 
 class PTE:
@@ -65,11 +55,17 @@ class AddressSpace:
     plumbing that feeds :meth:`register_invalidation_hook`), and the bulk
     primitives :meth:`read_into` / :meth:`write_from` /
     :func:`copy_range` move whole runs via ``memoryview`` slices instead
-    of per-page chunk loops.  ``COPIER_SLOWPATH=1`` forces the historic
-    per-page walkers for differential testing.
+    of per-page chunk loops.  The historic per-page walkers live on as
+    the reference subclass
+    :class:`~repro.mem.pagewalk.PageWalkAddressSpace`, which
+    :class:`~repro.kernel.System` builds under ``COPIER_SLOWPATH=1``.
     """
 
     _next_asid = [1]
+
+    #: True on the per-page reference class: :func:`copy_range` then
+    #: composes ``read`` and ``write`` instead of moving frame runs.
+    page_walk = False
 
     def __init__(self, phys, name=""):
         self.phys = phys
@@ -87,7 +83,6 @@ class AddressSpace:
         self._mmap_cursor = _DEFAULT_MMAP_BASE
         self.fault_counts = {"demand_zero": 0, "cow_copy": 0, "cow_reuse": 0}
         self._invalidation_hooks = []
-        self._fastpath = not slowpath_enabled()
         self._run_cache = {}  # vpn -> (frame, writable); the software TLB
         # Lazy teardown: pinned pages survive their VMA as (vpn, pte)
         # entries here; the last unpin frees the frame (§4.3 lifecycle).
@@ -279,8 +274,11 @@ class AddressSpace:
             raise ProtectionFault(va)
         return pte.frame, va % PAGE_SIZE
 
-    def _translate_cached(self, va, write):
-        """TLB-backed :meth:`translate`: hit skips the VMA scan and walk.
+    def _translate_page(self, va, write):
+        """Frame of the page holding ``va``: the page translate behind
+        :meth:`_walk_runs` and :meth:`ensure_mapped`.
+
+        TLB-backed :meth:`translate`: a hit skips the VMA scan and walk.
 
         A cached entry exists only for a page a full :meth:`translate`
         succeeded on, and every mapping change pops it (``_invalidate``),
@@ -319,14 +317,11 @@ class AddressSpace:
             return runs
         cursor = va
         end = va + length
-        fast = self._fastpath
+        translate_page = self._translate_page
         while cursor < end:
             while True:
                 try:
-                    if fast:
-                        frame = self._translate_cached(cursor, write)
-                    else:
-                        frame, _off = self.translate(cursor, write=write)
+                    frame = translate_page(cursor, write)
                     break
                 except (NotPresentFault, ProtectionFault):
                     if not resolve:
@@ -341,10 +336,7 @@ class AddressSpace:
             next_frame = frame + 1
             while cursor < end:
                 try:
-                    if fast:
-                        frame = self._translate_cached(cursor, write)
-                    else:
-                        frame, _off = self.translate(cursor, write=write)
+                    frame = translate_page(cursor, write)
                 except (NotPresentFault, ProtectionFault):
                     break  # close the run; the outer loop resolves/raises
                 if frame != next_frame:
@@ -408,8 +400,6 @@ class AddressSpace:
         This is the core of Copier's *proactive fault handling*: rather
         than letting the copy trap, the service walks the range up front.
         """
-        if not self._fastpath:
-            return self._ensure_mapped_slow(va, length, write)
         resolutions = []
         cursor = va
         end = va + length
@@ -418,25 +408,11 @@ class AddressSpace:
         while cursor < end:
             while True:
                 try:
-                    self._translate_cached(cursor, write)
+                    self._translate_page(cursor, write)
                     break
                 except (NotPresentFault, ProtectionFault):
                     resolutions.append(self.resolve_fault(cursor, write=write))
             cursor = (cursor // PAGE_SIZE + 1) * PAGE_SIZE
-        return resolutions
-
-    def _ensure_mapped_slow(self, va, length, write=False):
-        """Historic per-page walker (COPIER_SLOWPATH=1)."""
-        resolutions = []
-        for vpn in range(va // PAGE_SIZE, pages_end(va, length)):
-            page_va = vpn * PAGE_SIZE
-            probe = max(va, page_va)
-            while True:
-                try:
-                    self.translate(probe, write=write)
-                    break
-                except (NotPresentFault, ProtectionFault):
-                    resolutions.append(self.resolve_fault(probe, write=write))
         return resolutions
 
     # ------------------------------------------------------------- data path
@@ -448,8 +424,6 @@ class AddressSpace:
         first); per-page spans for compatibility — contiguity-sensitive
         callers should use :meth:`translate_run` directly.
         """
-        if not self._fastpath:
-            return self._frames_for_slow(va, length, write)
         spans = []
         for frame, offset, nbytes in self._walk_runs(va, length, write,
                                                      resolve=False):
@@ -461,39 +435,11 @@ class AddressSpace:
                 offset = 0
         return spans
 
-    def _frames_for_slow(self, va, length, write=False):
-        spans = []
-        cursor = va
-        end = va + length
-        while cursor < end:
-            frame, offset = self.translate(cursor, write=write)
-            chunk = min(end - cursor, PAGE_SIZE - offset)
-            spans.append((frame, offset, chunk))
-            cursor += chunk
-        return spans
-
     def read(self, va, length):
         """Read bytes, resolving legal faults inline (app direct access)."""
-        if not self._fastpath:
-            return self._read_slow(va, length)
         out = bytearray(length)
         if length:
             self.read_into(va, out)
-        return bytes(out)
-
-    def _read_slow(self, va, length):
-        out = bytearray()
-        cursor = va
-        end = va + length
-        while cursor < end:
-            try:
-                frame, offset = self.translate(cursor, write=False)
-            except (NotPresentFault, ProtectionFault):
-                self.resolve_fault(cursor, write=False)
-                continue
-            chunk = min(end - cursor, PAGE_SIZE - offset)
-            out += self.phys.read(frame, offset, chunk)
-            cursor += chunk
         return bytes(out)
 
     def read_into(self, va, buf):
@@ -511,25 +457,8 @@ class AddressSpace:
             pos += nbytes
 
     def write(self, va, data):
-        if not self._fastpath:
-            return self._write_slow(va, data)
         if len(data):
             self.write_from(va, data)
-
-    def _write_slow(self, va, data):
-        cursor = va
-        pos = 0
-        end = va + len(data)
-        while cursor < end:
-            try:
-                frame, offset = self.translate(cursor, write=True)
-            except (NotPresentFault, ProtectionFault):
-                self.resolve_fault(cursor, write=True)
-                continue
-            chunk = min(end - cursor, PAGE_SIZE - offset)
-            self.phys.write(frame, offset, data[pos : pos + chunk])
-            cursor += chunk
-            pos += chunk
 
     def write_from(self, va, data):
         """Write buffer ``data`` to [va, va+len(data)) in bulk.
@@ -578,7 +507,7 @@ class AddressSpace:
 
     def fork(self, name=""):
         """Create a child address space sharing pages copy-on-write."""
-        child = AddressSpace(self.phys, name=name or (self.name + "-child"))
+        child = type(self)(self.phys, name=name or (self.name + "-child"))
         child._mmap_cursor = self._mmap_cursor
         for vma in self.vmas:
             child_vma = VMA(
@@ -641,7 +570,7 @@ def copy_range(src_as, src_va, dst_as, dst_va, nbytes):
     """
     if nbytes == 0:
         return
-    if not (src_as._fastpath and dst_as._fastpath):
+    if src_as.page_walk or dst_as.page_walk:
         data = src_as.read(src_va, nbytes)
         dst_as.write(dst_va, data)
         return

@@ -43,14 +43,14 @@ once per event.  Execution drains a whole bucket in one dispatch loop —
 same-cycle batching — and events that schedule more work at the current
 cycle land in the bucket being drained, exactly where the heap's
 ``(when, seq)`` total order would have put them.  The observable event
-order is therefore bit-exact with the historic loop, and
-``COPIER_SLOWHEAP=1`` (read once per :class:`Environment` construction)
-keeps that historic heapq loop alive as a differential oracle, mirroring
-the ``COPIER_SLOWPATH`` discipline of the memory fast paths.
+order is therefore bit-exact with the historic loop, which lives on
+verbatim as the reference class
+:class:`~repro.sim.heapengine.HeapEnvironment`;
+:class:`~repro.kernel.System` builds it instead of this class under
+``COPIER_SLOWHEAP=1``, the differential oracle for this queue.
 """
 
 import heapq
-import os
 
 from repro.sim.cores import CoreSet
 from repro.sim.events import Event
@@ -62,15 +62,6 @@ from repro.sim.trace import TraceBus
 #: tools and app drivers: generous enough for every workload in the
 #: repo, finite so a wedged simulation fails instead of spinning.
 DEFAULT_RUN_LIMIT = 500_000_000_000
-
-
-def slowheap_enabled():
-    """True when ``COPIER_SLOWHEAP=1`` forces the historic heapq loop.
-
-    Read once per :class:`Environment` construction — the differential
-    determinism tests build one environment per setting.
-    """
-    return os.environ.get("COPIER_SLOWHEAP") == "1"
 
 
 def _normalize_delay(delay):
@@ -123,20 +114,8 @@ class Environment:
         # heap of the distinct pending cycles (each pushed exactly once).
         self._buckets = {}
         self._times = []
-        # Historic heapq storage, used only under COPIER_SLOWHEAP=1.
-        self._heap = []
-        self._seq = 0
         self._running = False
         self.events_executed = 0
-        self.slowheap = slowheap_enabled()
-        if self.slowheap:
-            # Bind the oracle loop per-instance: zero per-call branching
-            # on the production path, and the oracle stays byte-for-byte
-            # the historic implementation.
-            self.schedule = self._schedule_slowheap
-            self.run = self._run_slowheap
-            self.step = self._step_slowheap
-            self.run_until = self._run_until_slowheap
         self.stats = CycleStats()
         self.trace = TraceBus()
         self.cores = CoreSet(self, n_cores, timeslice)
@@ -151,7 +130,6 @@ class Environment:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
         when = self.now + delay
-        self._seq += 1
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = [fn]
@@ -175,29 +153,22 @@ class Environment:
     def idle(self):
         """True when no events remain: nothing will happen until new work
         is scheduled from outside (quiescence, not just a pause)."""
-        return not self._times and not self._heap
+        return not self._times
 
     def next_event_time(self):
         """Clock value of the earliest pending event, or ``None`` when
         idle.  Lets an external driver bound how far ``step`` can go
         without executing anything."""
-        if self._times:
-            return self._times[0]
-        if self._heap:
-            return self._heap[0][0]
-        return None
+        return self._times[0] if self._times else None
 
     def pending_events(self):
-        """Number of events currently queued (both loop flavors)."""
-        if self._heap:
-            return len(self._heap)
+        """Number of events currently queued."""
         return sum(len(b) for b in self._buckets.values())
 
     def clear_pending(self):
         """Drop every queued event (checkpoint/restore surgery)."""
         self._buckets.clear()
         del self._times[:]
-        del self._heap[:]
 
     def _enter(self):
         if self._running:
@@ -336,81 +307,6 @@ class Environment:
                     else:
                         del buckets[when]
                         heapq.heappop(times)
-        finally:
-            self._running = False
-        if event.exception is not None:
-            raise event.exception
-        return event.value
-
-    # ------------------------------------------- historic heapq loop (oracle)
-    #
-    # COPIER_SLOWHEAP=1 binds these in place of the calendar loop above.
-    # They are the pre-calendar implementation, kept verbatim as the
-    # differential oracle: any ordering drift in the calendar queue shows
-    # up against these in tests/sim/test_calendar.py.
-
-    def _schedule_slowheap(self, delay, fn):
-        """Run ``fn()`` after ``delay`` cycles (historic heapq loop)."""
-        if type(delay) is not int:
-            delay = _normalize_delay(delay)
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
-        self._seq += 1
-
-    def _step_slowheap(self, max_events=None, max_cycles=None):
-        self._enter()
-        heap = self._heap
-        limit = None if max_cycles is None else self.now + max_cycles
-        executed = 0
-        try:
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                when = heap[0][0]
-                if limit is not None and when > limit:
-                    break
-                _when, _seq, fn = heapq.heappop(heap)
-                self.now = when
-                self.events_executed += 1
-                executed += 1
-                fn()
-            if limit is not None and limit > self.now:
-                if not heap or (max_events is None or executed < max_events):
-                    self.now = limit
-        finally:
-            self._running = False
-        return StepReport(executed, self.now, not heap)
-
-    def _run_slowheap(self, until=None):
-        self._enter()
-        try:
-            while self._heap:
-                when, _seq, fn = self._heap[0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                heapq.heappop(self._heap)
-                self.now = when
-                self.events_executed += 1
-                fn()
-            if until is not None and until > self.now:
-                self.now = until
-        finally:
-            self._running = False
-
-    def _run_until_slowheap(self, event, limit=None):
-        self._enter()
-        try:
-            while not event.triggered:
-                if not self._heap:
-                    raise RuntimeError("event loop drained before event triggered")
-                when, _seq, fn = heapq.heappop(self._heap)
-                if limit is not None and when > limit:
-                    raise RuntimeError("simulation limit reached at %d" % when)
-                self.now = when
-                self.events_executed += 1
-                fn()
         finally:
             self._running = False
         if event.exception is not None:

@@ -33,8 +33,9 @@ from repro.copier import CopierService
 from repro.copier.errors import CopyAborted
 from repro.faultinject import PLAN_NAMES, FaultPlan
 from repro.hw import MachineParams
-from repro.mem import AddressSpace, PhysicalMemory
-from repro.sim import DEFAULT_RUN_LIMIT, Environment
+from repro.kernel.system import machine_classes
+from repro.mem import PhysicalMemory
+from repro.sim import DEFAULT_RUN_LIMIT
 from repro.tools import copierstat
 
 N_BUFFERS = 4
@@ -80,12 +81,13 @@ def _reference(ops):
 def run_workload(plan, n_ops=120, admission=None, e2e_crc=None):
     """Execute the canned workload under ``plan``; returns
     ``(service, aspace, bases, ops)`` after the run completes."""
-    env = Environment(n_cores=2)
+    env_cls, aspace_cls = machine_classes()
+    env = env_cls(n_cores=2)
     params = MachineParams()
     phys = PhysicalMemory(8192)
     service = CopierService(env, params, fault_plan=plan,
                             admission=admission, e2e_crc=e2e_crc)
-    aspace = AddressSpace(phys, name="app")
+    aspace = aspace_cls(phys, name="app")
     client = service.create_client(aspace, name="app")
     bases = [aspace.mmap(BUF_BYTES, populate=True, contiguous=True)
              for i in range(N_BUFFERS)]

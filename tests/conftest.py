@@ -9,9 +9,19 @@ healthy machine — calibrated performance comparisons and
 keeps-up-with-load invariants.  CI's fault-soak job runs the whole suite
 with the mixed plan armed; correctness tests must pass under it, and
 only these explicitly-marked tests opt out.
+
+``env_cls`` and ``aspace_cls`` are the event-loop and address-space
+classes that bare-engine and bare-memory tests build.  Here they are
+the production classes; ``tests/sim/test_heap_oracle.py`` and
+``tests/mem/test_pagewalk_oracle.py`` collect those suites a second
+time with the fixtures bound to the reference classes, so every run
+covers both.
 """
 
 import pytest
+
+from repro.mem import AddressSpace
+from repro.sim import Environment
 
 
 def pytest_addoption(parser):
@@ -33,3 +43,13 @@ def _disarm_faults_when_marked(request, monkeypatch):
     if "faultfree" in request.keywords:
         monkeypatch.delenv("COPIER_FAULT_PLAN", raising=False)
         monkeypatch.delenv("COPIER_FAULT_SEED", raising=False)
+
+
+@pytest.fixture(scope="session")
+def env_cls():
+    return Environment
+
+
+@pytest.fixture(scope="session")
+def aspace_cls():
+    return AddressSpace

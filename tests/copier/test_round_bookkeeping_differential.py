@@ -31,7 +31,6 @@ from repro.copier.absorption import resolve_round_sources, resolve_sources
 from repro.copier.deps import TaskIndex, _granules
 from repro.copier.errors import CopyAborted, DeadlineMissed, FramePoisonError
 from repro.copier.task import Region
-from repro.mem import AddressSpace
 from repro.mem.faults import MemoryFault
 from repro.sim import Timeout
 from tests.copier.conftest import Setup
@@ -292,7 +291,7 @@ def test_round_bookkeeping_matches_historic_scans(seed):
     client, env = setup.client, setup.env
     recorder = Recorder(setup)
     app = setup.aspace
-    kern = AddressSpace(setup.phys, name="kern")
+    kern = type(setup.aspace)(setup.phys, name="kern")
     bases = {}
     for aspace in (app, kern):
         base = aspace.mmap(SPAN, populate=True)

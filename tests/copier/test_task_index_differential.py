@@ -20,7 +20,6 @@ from repro.copier.absorption import _nearest_producer
 from repro.copier.descriptor import Descriptor
 from repro.copier.errors import CopyAborted, DeadlineMissed
 from repro.copier.task import CopyTask, Region
-from repro.mem import AddressSpace
 from repro.sim import Timeout
 from tests.copier.conftest import Setup
 
@@ -149,7 +148,7 @@ def test_index_queries_match_brute_force_scans(seed):
     setup = Setup(n_frames=4096)
     client, env = setup.client, setup.env
     app = setup.aspace
-    kern = AddressSpace(setup.phys, name="kern")
+    kern = type(setup.aspace)(setup.phys, name="kern")
     bases = {}
     for aspace in (app, kern):
         base = aspace.mmap(SPAN, populate=True)

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.ckpt import checkpoint, restore
 from repro.kernel import System
+from repro.mem import AddressSpace
+from repro.mem.pagewalk import PageWalkAddressSpace
 from repro.mem.phys import PAGE_SIZE
-from repro.sim import Compute
+from repro.sim import Compute, Environment
+from repro.sim.heapengine import HeapEnvironment
 
 
 class TestSystemConstruction:
@@ -121,3 +125,35 @@ class TestRunAll:
 
         procs = [p1.spawn(gen(1), affinity=0), p2.spawn(gen(2), affinity=1)]
         assert system.run_all(procs) == [1, 2]
+
+
+@pytest.mark.parametrize("knob", ["COPIER_SLOWHEAP", "COPIER_SLOWPATH"],
+                         ids=["slowheap", "slowpath"])
+def test_oracle_knob_selects_reference_classes(monkeypatch, knob):
+    """Each oracle knob swaps in its reference class wherever a machine
+    is built: the system, its processes, their forks, and a restore."""
+    for name in ("COPIER_SLOWHEAP", "COPIER_SLOWPATH"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv(knob, "1")
+    env_cls = HeapEnvironment if knob == "COPIER_SLOWHEAP" else Environment
+    aspace_cls = (PageWalkAddressSpace if knob == "COPIER_SLOWPATH"
+                  else AddressSpace)
+
+    system = System(n_cores=2, phys_frames=1024)
+    proc = system.create_process("app")
+    assert type(system.env) is env_cls
+    assert type(system.kernel_as) is aspace_cls
+    assert type(proc.aspace) is aspace_cls
+    assert type(proc.aspace.fork()) is aspace_cls
+
+    va = proc.aspace.mmap(PAGE_SIZE * 2, populate=True)
+    proc.aspace.write(va, b"walk")
+    assert proc.aspace.read(va, 4) == b"walk"
+    # The page walk never fills the run cache; the fast path does.
+    assert (proc.aspace._run_cache == {}) == (aspace_cls is PageWalkAddressSpace)
+
+    restored, _stores = restore(checkpoint(system).to_bytes())
+    assert type(restored.env) is env_cls
+    assert type(restored.kernel_as) is aspace_cls
+    assert [type(p.aspace) for p in restored.processes] == [aspace_cls]
+    assert restored.processes[0].aspace.read(va, 4) == b"walk"

@@ -5,22 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem import (
     PAGE_SIZE,
-    AddressSpace,
     NotPresentFault,
     PhysicalMemory,
     SegmentationFault,
     SharedSegment,
 )
-
-
-@pytest.fixture
-def phys():
-    return PhysicalMemory(n_frames=512)
-
-
-@pytest.fixture
-def aspace(phys):
-    return AddressSpace(phys, name="test")
 
 
 def test_mmap_returns_page_aligned_va(aspace):
@@ -142,10 +131,10 @@ def test_fork_shares_shm_without_cow(phys, aspace):
     assert aspace.read(va, 6) == b"SHARED"
 
 
-def test_shared_segment_cross_process_visibility(phys):
+def test_shared_segment_cross_process_visibility(aspace_cls, phys):
     seg = SharedSegment(phys, PAGE_SIZE * 2)
-    a = AddressSpace(phys)
-    b = AddressSpace(phys)
+    a = aspace_cls(phys)
+    b = aspace_cls(phys)
     va_a = a.mmap(PAGE_SIZE * 2, shared_segment=seg)
     va_b = b.mmap(PAGE_SIZE * 2, shared_segment=seg)
     a.write(va_a + 4097, b"binder-msg")
@@ -254,9 +243,9 @@ def test_invalidation_hook_fires_on_munmap(aspace):
     offset=st.integers(min_value=0, max_value=PAGE_SIZE * 3),
     data=st.binary(min_size=1, max_size=PAGE_SIZE * 2),
 )
-def test_property_write_read_roundtrip(offset, data):
+def test_property_write_read_roundtrip(aspace_cls, offset, data):
     phys = PhysicalMemory(n_frames=64)
-    aspace = AddressSpace(phys)
+    aspace = aspace_cls(phys)
     va = aspace.mmap(PAGE_SIZE * 6)
     aspace.write(va + offset, data)
     assert aspace.read(va + offset, len(data)) == data
@@ -273,10 +262,10 @@ def test_property_write_read_roundtrip(offset, data):
         max_size=8,
     )
 )
-def test_property_fork_isolation(writes):
+def test_property_fork_isolation(aspace_cls, writes):
     """After fork, child writes never leak into the parent and vice versa."""
     phys = PhysicalMemory(n_frames=256)
-    parent = AddressSpace(phys)
+    parent = aspace_cls(phys)
     va = parent.mmap(PAGE_SIZE * 3, populate=True)
     parent.write(va, b"\xaa" * (PAGE_SIZE * 3))
     child = parent.fork()
@@ -287,9 +276,9 @@ def test_property_fork_isolation(writes):
 
 @settings(max_examples=30, deadline=None)
 @given(n_pages=st.integers(min_value=1, max_value=8))
-def test_property_ensure_mapped_is_idempotent(n_pages):
+def test_property_ensure_mapped_is_idempotent(aspace_cls, n_pages):
     phys = PhysicalMemory(n_frames=64)
-    aspace = AddressSpace(phys)
+    aspace = aspace_cls(phys)
     va = aspace.mmap(PAGE_SIZE * n_pages)
     first = aspace.ensure_mapped(va, PAGE_SIZE * n_pages)
     assert len(first) == n_pages

@@ -20,16 +20,6 @@ from repro.mem.addrspace import copy_range
 from repro.mem.phys import OutOfMemory
 
 
-@pytest.fixture
-def phys():
-    return PhysicalMemory(n_frames=512)
-
-
-@pytest.fixture
-def aspace(phys):
-    return AddressSpace(phys, name="test")
-
-
 # --------------------------------------------------------------- translate_run
 
 
@@ -49,9 +39,9 @@ def test_translate_run_respects_offsets(aspace):
     assert offset == 100 and nbytes == PAGE_SIZE
 
 
-def test_translate_run_splits_at_physical_discontinuity():
+def test_translate_run_splits_at_physical_discontinuity(aspace_cls):
     phys = PhysicalMemory(n_frames=256, fragmented=True)
-    aspace = AddressSpace(phys)
+    aspace = aspace_cls(phys)
     va = aspace.mmap(PAGE_SIZE * 6, populate=True)
     runs = aspace.translate_run(va, PAGE_SIZE * 6)
     assert sum(r[2] for r in runs) == PAGE_SIZE * 6
@@ -99,9 +89,8 @@ def test_fork_downgrade_invalidates_parent_cache(aspace):
     assert aspace.fault_counts["cow_copy"] + aspace.fault_counts["cow_reuse"] >= 1
 
 
-def test_munmap_pops_cache_entry(monkeypatch, phys):
-    monkeypatch.delenv("COPIER_SLOWPATH", raising=False)  # cache in play
-    aspace = AddressSpace(phys)
+def test_munmap_pops_cache_entry(phys):
+    aspace = AddressSpace(phys)  # the run cache is production-only
     va = aspace.mmap(PAGE_SIZE, populate=True)
     aspace.read(va, 8)  # warm
     assert va // PAGE_SIZE in aspace._run_cache
@@ -132,15 +121,6 @@ def test_run_cache_limit_clears(monkeypatch, aspace):
     assert len(aspace._run_cache) <= 4
 
 
-def test_slowpath_aspace_bypasses_cache(monkeypatch, phys):
-    monkeypatch.setenv("COPIER_SLOWPATH", "1")
-    aspace = AddressSpace(phys)
-    va = aspace.mmap(PAGE_SIZE * 2, populate=True)
-    aspace.write(va, b"slow")
-    assert aspace.read(va, 4) == b"slow"
-    assert aspace._run_cache == {}
-
-
 # ------------------------------------------------------------ bulk primitives
 
 
@@ -154,9 +134,9 @@ def test_read_into_write_from_roundtrip(aspace):
     assert aspace.read(va + 7, len(data)) == data
 
 
-def test_copy_range_cross_aspace(phys):
-    a = AddressSpace(phys, name="a")
-    b = AddressSpace(phys, name="b")
+def test_copy_range_cross_aspace(aspace_cls, phys):
+    a = aspace_cls(phys, name="a")
+    b = aspace_cls(phys, name="b")
     src = a.mmap(PAGE_SIZE * 2, populate=True)
     dst = b.mmap(PAGE_SIZE * 2)
     payload = bytes(i % 251 for i in range(PAGE_SIZE + 500))
@@ -165,8 +145,8 @@ def test_copy_range_cross_aspace(phys):
     assert b.read(dst + 9, len(payload)) == payload
 
 
-def test_copy_range_resolves_faults_like_read_write(phys):
-    fast_src, fast_dst = AddressSpace(phys), AddressSpace(phys)
+def test_copy_range_resolves_faults_like_read_write(aspace_cls, phys):
+    fast_src, fast_dst = aspace_cls(phys), aspace_cls(phys)
     sva = fast_src.mmap(PAGE_SIZE * 3)
     dva = fast_dst.mmap(PAGE_SIZE * 3)
     copy_range(fast_src, sva, fast_dst, dva, PAGE_SIZE * 3)
@@ -187,9 +167,9 @@ def test_copy_range_overlap_snapshot_semantics(aspace):
     assert aspace.read(va, 100) == pattern[:100]
 
 
-def test_copy_range_matches_read_write_composition(phys):
-    fast = AddressSpace(phys)
-    ref = AddressSpace(phys)
+def test_copy_range_matches_read_write_composition(aspace_cls, phys):
+    fast = aspace_cls(phys)
+    ref = aspace_cls(phys)
     for aspace in (fast, ref):
         va = aspace.mmap(PAGE_SIZE * 4, populate=True)
         aspace.write(va, bytes(i % 253 for i in range(PAGE_SIZE * 2 + 123)))
@@ -202,9 +182,9 @@ def test_copy_range_matches_read_write_composition(phys):
 # ----------------------------------------------------- mmap failure atomicity
 
 
-def test_failed_mmap_does_not_leak_cursor_or_vma():
+def test_failed_mmap_does_not_leak_cursor_or_vma(aspace_cls):
     phys = PhysicalMemory(n_frames=4)
-    aspace = AddressSpace(phys)
+    aspace = aspace_cls(phys)
     cursor = aspace._mmap_cursor
     with pytest.raises(OutOfMemory):
         aspace.mmap(PAGE_SIZE * 16, populate=True)

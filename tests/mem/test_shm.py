@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.mem import PAGE_SIZE, AddressSpace, PhysicalMemory, SharedSegment
-
-
-@pytest.fixture
-def phys():
-    return PhysicalMemory(128)
+from repro.mem import PAGE_SIZE, SharedSegment
 
 
 def test_read_write_cross_page(phys):
@@ -32,9 +27,9 @@ def test_release_frees_frames(phys):
     assert phys.frames_in_use == 0
 
 
-def test_release_with_live_mapping_keeps_frames(phys):
+def test_release_with_live_mapping_keeps_frames(aspace_cls, phys):
     seg = SharedSegment(phys, PAGE_SIZE)
-    aspace = AddressSpace(phys)
+    aspace = aspace_cls(phys)
     va = aspace.mmap(PAGE_SIZE, shared_segment=seg)
     aspace.write(va, b"held")
     seg.release()
@@ -47,10 +42,10 @@ def test_contiguous_segment_frames_adjacent(phys):
     assert seg.frames == list(range(seg.frames[0], seg.frames[0] + 4))
 
 
-def test_two_mappings_same_offsets(phys):
+def test_two_mappings_same_offsets(aspace_cls, phys):
     seg = SharedSegment(phys, PAGE_SIZE * 2)
-    a = AddressSpace(phys)
-    b = AddressSpace(phys)
+    a = aspace_cls(phys)
+    b = aspace_cls(phys)
     va = a.mmap(PAGE_SIZE * 2, shared_segment=seg)
     vb = b.mmap(PAGE_SIZE * 2, shared_segment=seg)
     a.write(va + 5000, b"offset-check")

@@ -1,50 +1,33 @@
 """Calendar-queue vs heapq differential determinism.
 
-The production event loop is a calendar/bucket queue; ``COPIER_SLOWHEAP=1``
-selects the historic single-heapq loop, kept verbatim as the oracle.  The
-two must be *bit-exact*: same event sequence, same ``env.now``, same
+The production event loop is a calendar/bucket queue
+(:class:`Environment`); :class:`HeapEnvironment` is the historic
+single-heapq loop, kept verbatim as the oracle.  The two must be
+*bit-exact*: same event sequence, same ``env.now``, same
 ``events_executed``, same trace stream, same full ``stats_snapshot()`` —
 across a raw-copy Copier workload (clean, ``COPIER_SLOWPATH=1`` and
 ``COPIER_FAULT_PLAN=mixed``), the overload scenario, the multi-node
 fleet scenarios, and checkpoint/restore-driven recovery.
 
-The knob is read once per :class:`Environment` construction, so one test
-process can run both flavors back to back.
+The queue basics build each class directly.  The workloads build whole
+machines, so they set ``COPIER_SLOWHEAP=1``, which makes every machine
+built afterwards run on the heap loop.
 """
 
 import pytest
 
 from repro.sim import Environment
+from repro.sim.heapengine import HeapEnvironment
 from tests.sim.test_step import _drive_batch, _run_workload
 
 # ----------------------------------------------------------- queue basics
 
-
-def _flavors(monkeypatch):
-    """Yield (name, activate) pairs for the two loop implementations."""
-    def calendar():
-        monkeypatch.delenv("COPIER_SLOWHEAP", raising=False)
-
-    def slowheap():
-        monkeypatch.setenv("COPIER_SLOWHEAP", "1")
-
-    return [("calendar", calendar), ("slowheap", slowheap)]
+_LOOPS = [("calendar", Environment), ("slowheap", HeapEnvironment)]
 
 
-def test_slowheap_flag_selects_historic_loop(monkeypatch):
-    monkeypatch.delenv("COPIER_SLOWHEAP", raising=False)
-    assert Environment().slowheap is False
-    monkeypatch.setenv("COPIER_SLOWHEAP", "1")
-    env = Environment()
-    assert env.slowheap is True
-    env.schedule(3, lambda: None)
-    assert env._heap and not env._buckets  # events live in the heapq
-
-
-def test_queue_introspection_agrees_across_flavors(monkeypatch):
-    for _name, activate in _flavors(monkeypatch):
-        activate()
-        env = Environment()
+def test_queue_introspection_agrees_across_flavors():
+    for _name, loop_cls in _LOOPS:
+        env = loop_cls()
         assert env.idle and env.next_event_time() is None
         assert env.pending_events() == 0
         for t in (30, 10, 10, 20):
@@ -58,13 +41,12 @@ def test_queue_introspection_agrees_across_flavors(monkeypatch):
         assert env.now == 0
 
 
-def test_same_cycle_fifo_order_matches_heapq(monkeypatch):
+def test_same_cycle_fifo_order_matches_heapq():
     """Events in one cycle bucket fire in schedule (seq) order, including
     events appended to the bucket *while it is being drained*."""
     logs = {}
-    for name, activate in _flavors(monkeypatch):
-        activate()
-        env = Environment()
+    for name, loop_cls in _LOOPS:
+        env = loop_cls()
         log = logs.setdefault(name, [])
 
         def tick(tag, log=log, env=env):
@@ -83,11 +65,10 @@ def test_same_cycle_fifo_order_matches_heapq(monkeypatch):
         (0, "zero"), (5, "a"), (5, "b"), (5, "c"), (5, "b-child")]
 
 
-def test_exception_preserves_pending_suffix(monkeypatch):
+def test_exception_preserves_pending_suffix():
     """An event that raises must not drop the rest of its cycle bucket."""
-    for _name, activate in _flavors(monkeypatch):
-        activate()
-        env = Environment()
+    for _name, loop_cls in _LOOPS:
+        env = loop_cls()
         fired = []
         env.schedule(5, lambda: fired.append("pre"))
 
@@ -143,8 +124,11 @@ def _scenario_results(runner, monkeypatch):
 
     perfbaseline._install_interposers()
     out = []
-    for _name, activate in _flavors(monkeypatch):
-        activate()
+    for slowheap in (False, True):
+        if slowheap:
+            monkeypatch.setenv("COPIER_SLOWHEAP", "1")
+        else:
+            monkeypatch.delenv("COPIER_SLOWHEAP", raising=False)
         events_before = perfbaseline._global_event_count()
         recorder = {}
         runner(recorder)

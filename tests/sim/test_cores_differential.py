@@ -22,7 +22,7 @@ from collections import Counter, deque
 
 import pytest
 
-from repro.sim import Compute, Environment, Timeout, WaitEvent
+from repro.sim import Compute, Timeout, WaitEvent
 from repro.sim import process as proc_mod
 from repro.sim.process import ProcessKilled
 
@@ -205,11 +205,11 @@ def make_plan(seed):
     return n_cores, ts, n_events, procs, fires, kills, blocked_kills
 
 
-def build(plan, reference):
-    """One environment running ``plan``; returns (env, resume log,
-    pid -> process name)."""
+def build(plan, reference, env_cls):
+    """One ``env_cls`` environment running ``plan``; returns (env, resume
+    log, pid -> process name)."""
     n_cores, ts, n_events, procs, fires, kills, blocked_kills = plan
-    env = Environment(n_cores=n_cores, timeslice=ts)
+    env = env_cls(n_cores=n_cores, timeslice=ts)
     if reference:
         env.cores = ReferenceCoreSet(env, n_cores, ts)
     log = []
@@ -308,10 +308,10 @@ def _note_coverage(cores, seen):
         seen["request rotated out mid-Compute"] += 1
 
 
-def run_pair(seed, seen):
+def run_pair(seed, seen, env_cls):
     plan = make_plan(seed)
-    ref_env, ref_log, ref_names = build(plan, reference=True)
-    env, log, names = build(plan, reference=False)
+    ref_env, ref_log, ref_names = build(plan, reference=True, env_cls=env_cls)
+    env, log, names = build(plan, reference=False, env_cls=env_cls)
     steps = 0
     while not ref_env.idle:
         ref_env.step(max_events=1)
@@ -337,9 +337,9 @@ def run_pair(seed, seen):
 
 
 @pytest.mark.parametrize("block", range(8))
-def test_cores_match_reference_scheduler(block):
+def test_cores_match_reference_scheduler(block, env_cls):
     seen = Counter()
     for seed in range(block * 40, (block + 1) * 40):
-        run_pair(seed, seen)
+        run_pair(seed, seen, env_cls)
     # Every block reaches the states the fast path must get right.
     assert len(seen) == 6 and min(seen.values()) >= 3, seen

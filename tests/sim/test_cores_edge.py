@@ -1,13 +1,12 @@
 """Core-scheduler edge cases: mixed affinity, preemption, many processes."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Compute, Environment, Timeout
+from repro.sim import Compute, Timeout
 
 
-def test_pinned_takes_priority_over_shared_on_its_core():
-    env = Environment(n_cores=1, timeslice=50)
+def test_pinned_takes_priority_over_shared_on_its_core(env_cls):
+    env = env_cls(n_cores=1, timeslice=50)
     order = []
 
     def floating():
@@ -26,8 +25,8 @@ def test_pinned_takes_priority_over_shared_on_its_core():
     assert env.now == 200
 
 
-def test_floating_process_uses_any_free_core():
-    env = Environment(n_cores=3)
+def test_floating_process_uses_any_free_core(env_cls):
+    env = env_cls(n_cores=3)
     done_at = {}
 
     def hog(core):
@@ -45,8 +44,8 @@ def test_floating_process_uses_any_free_core():
     assert done_at["floater"] == 500  # took core 2, no waiting
 
 
-def test_many_processes_eventually_all_finish():
-    env = Environment(n_cores=2, timeslice=100)
+def test_many_processes_eventually_all_finish(env_cls):
+    env = env_cls(n_cores=2, timeslice=100)
     finished = []
 
     def worker(i):
@@ -60,8 +59,8 @@ def test_many_processes_eventually_all_finish():
     assert env.now == 20 * 250 // 2
 
 
-def test_compute_interleaved_with_timeout():
-    env = Environment(n_cores=1)
+def test_compute_interleaved_with_timeout(env_cls):
+    env = env_cls(n_cores=1)
     trace = []
 
     def waiter():
@@ -90,10 +89,10 @@ def test_compute_interleaved_with_timeout():
     n_cores=st.integers(min_value=1, max_value=4),
     timeslice=st.sampled_from([10, 100, 10_000]),
 )
-def test_property_work_conservation(amounts, n_cores, timeslice):
+def test_property_work_conservation(env_cls, amounts, n_cores, timeslice):
     """Total busy cycles equals total requested work, and the makespan is
     at least work/cores (no cycles invented or lost)."""
-    env = Environment(n_cores=n_cores, timeslice=timeslice)
+    env = env_cls(n_cores=n_cores, timeslice=timeslice)
 
     def worker(c):
         yield Compute(c)

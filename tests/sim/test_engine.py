@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.sim import Compute, Environment, Timeout, WaitEvent
+from repro.sim import Compute, Timeout, WaitEvent
 from repro.sim.events import all_of, any_of
 
 
-def test_clock_starts_at_zero():
-    env = Environment()
+def test_clock_starts_at_zero(env_cls):
+    env = env_cls()
     assert env.now == 0
 
 
-def test_schedule_orders_by_time():
-    env = Environment()
+def test_schedule_orders_by_time(env_cls):
+    env = env_cls()
     order = []
     env.schedule(10, lambda: order.append("b"))
     env.schedule(5, lambda: order.append("a"))
@@ -22,8 +22,8 @@ def test_schedule_orders_by_time():
     assert env.now == 20
 
 
-def test_schedule_same_time_fifo():
-    env = Environment()
+def test_schedule_same_time_fifo(env_cls):
+    env = env_cls()
     order = []
     for i in range(5):
         env.schedule(7, lambda i=i: order.append(i))
@@ -31,14 +31,14 @@ def test_schedule_same_time_fifo():
     assert order == [0, 1, 2, 3, 4]
 
 
-def test_schedule_negative_delay_rejected():
-    env = Environment()
+def test_schedule_negative_delay_rejected(env_cls):
+    env = env_cls()
     with pytest.raises(ValueError):
         env.schedule(-1, lambda: None)
 
 
-def test_run_until_time_limit():
-    env = Environment()
+def test_run_until_time_limit(env_cls):
+    env = env_cls()
     fired = []
     env.schedule(100, lambda: fired.append(1))
     env.run(until=50)
@@ -48,8 +48,8 @@ def test_run_until_time_limit():
     assert fired == [1]
 
 
-def test_timeout_advances_clock():
-    env = Environment()
+def test_timeout_advances_clock(env_cls):
+    env = env_cls()
 
     def proc():
         yield Timeout(42)
@@ -60,8 +60,8 @@ def test_timeout_advances_clock():
     assert p.result == 42
 
 
-def test_compute_consumes_core_time():
-    env = Environment(n_cores=1)
+def test_compute_consumes_core_time(env_cls):
+    env = env_cls(n_cores=1)
 
     def proc():
         yield Compute(1000)
@@ -72,8 +72,8 @@ def test_compute_consumes_core_time():
     assert env.cores.cores[0].busy_cycles == 1000
 
 
-def test_compute_zero_cycles_is_scheduling_point():
-    env = Environment(n_cores=1)
+def test_compute_zero_cycles_is_scheduling_point(env_cls):
+    env = env_cls(n_cores=1)
 
     def proc():
         yield Compute(0)
@@ -85,8 +85,8 @@ def test_compute_zero_cycles_is_scheduling_point():
     assert env.now == 0
 
 
-def test_two_processes_share_single_core():
-    env = Environment(n_cores=1, timeslice=100)
+def test_two_processes_share_single_core(env_cls):
+    env = env_cls(n_cores=1, timeslice=100)
 
     def proc():
         yield Compute(500)
@@ -100,8 +100,8 @@ def test_two_processes_share_single_core():
     assert {p1.result, p2.result} == {900, 1000}
 
 
-def test_two_processes_two_cores_parallel():
-    env = Environment(n_cores=2)
+def test_two_processes_two_cores_parallel(env_cls):
+    env = env_cls(n_cores=2)
 
     def proc():
         yield Compute(500)
@@ -114,8 +114,8 @@ def test_two_processes_two_cores_parallel():
     assert p2.result == 500
 
 
-def test_affinity_pins_process_to_core():
-    env = Environment(n_cores=2)
+def test_affinity_pins_process_to_core(env_cls):
+    env = env_cls(n_cores=2)
 
     def proc():
         yield Compute(300)
@@ -126,8 +126,8 @@ def test_affinity_pins_process_to_core():
     assert env.cores.cores[0].busy_cycles == 0
 
 
-def test_timeslicing_interleaves_fairly():
-    env = Environment(n_cores=1, timeslice=10)
+def test_timeslicing_interleaves_fairly(env_cls):
+    env = env_cls(n_cores=1, timeslice=10)
     finish = {}
 
     def proc(name, amount):
@@ -142,8 +142,8 @@ def test_timeslicing_interleaves_fairly():
     assert finish["long"] == 220
 
 
-def test_wait_event_delivers_value():
-    env = Environment()
+def test_wait_event_delivers_value(env_cls):
+    env = env_cls()
     ev = env.event()
 
     def waiter():
@@ -160,8 +160,8 @@ def test_wait_event_delivers_value():
     assert p.result == "payload"
 
 
-def test_yield_bare_event_works():
-    env = Environment()
+def test_yield_bare_event_works(env_cls):
+    env = env_cls()
     ev = env.event()
 
     def waiter():
@@ -174,8 +174,8 @@ def test_yield_bare_event_works():
     assert p.result == 7
 
 
-def test_event_fail_raises_in_waiter():
-    env = Environment()
+def test_event_fail_raises_in_waiter(env_cls):
+    env = env_cls()
     ev = env.event()
     caught = []
 
@@ -191,16 +191,16 @@ def test_event_fail_raises_in_waiter():
     assert caught == ["boom"]
 
 
-def test_event_double_trigger_rejected():
-    env = Environment()
+def test_event_double_trigger_rejected(env_cls):
+    env = env_cls()
     ev = env.event()
     ev.succeed(1)
     with pytest.raises(RuntimeError):
         ev.succeed(2)
 
 
-def test_event_callback_after_trigger_still_fires():
-    env = Environment()
+def test_event_callback_after_trigger_still_fires(env_cls):
+    env = env_cls()
     ev = env.event()
     ev.succeed("x")
     got = []
@@ -209,8 +209,8 @@ def test_event_callback_after_trigger_still_fires():
     assert got == ["x"]
 
 
-def test_all_of_collects_values():
-    env = Environment()
+def test_all_of_collects_values(env_cls):
+    env = env_cls()
     evs = [env.event() for _ in range(3)]
     combined = all_of(env, evs)
     for i, ev in enumerate(evs):
@@ -220,14 +220,14 @@ def test_all_of_collects_values():
     assert combined.value == [0, 1, 2]
 
 
-def test_all_of_empty_triggers_immediately():
-    env = Environment()
+def test_all_of_empty_triggers_immediately(env_cls):
+    env = env_cls()
     combined = all_of(env, [])
     assert combined.triggered
 
 
-def test_any_of_triggers_on_first():
-    env = Environment()
+def test_any_of_triggers_on_first(env_cls):
+    env = env_cls()
     evs = [env.event() for _ in range(3)]
     combined = any_of(env, evs)
     env.schedule(5, lambda: evs[2].succeed("late"))
@@ -236,8 +236,8 @@ def test_any_of_triggers_on_first():
     assert combined.value is evs[1]
 
 
-def test_run_until_event():
-    env = Environment()
+def test_run_until_event(env_cls):
+    env = env_cls()
     ev = env.event()
     env.schedule(500, lambda: ev.succeed("done"))
     env.schedule(900, lambda: None)
@@ -245,15 +245,15 @@ def test_run_until_event():
     assert env.now == 500
 
 
-def test_run_until_drained_raises():
-    env = Environment()
+def test_run_until_drained_raises(env_cls):
+    env = env_cls()
     ev = env.event()
     with pytest.raises(RuntimeError):
         env.run_until(ev)
 
 
-def test_process_return_value():
-    env = Environment()
+def test_process_return_value(env_cls):
+    env = env_cls()
 
     def proc():
         yield Timeout(1)
@@ -265,8 +265,8 @@ def test_process_return_value():
     assert p.terminated.value == 99
 
 
-def test_process_wait_on_termination():
-    env = Environment()
+def test_process_wait_on_termination(env_cls):
+    env = env_cls()
 
     def child():
         yield Compute(100)
@@ -282,8 +282,8 @@ def test_process_wait_on_termination():
     assert p.result == "child-done"
 
 
-def test_kill_blocked_process():
-    env = Environment()
+def test_kill_blocked_process(env_cls):
+    env = env_cls()
     from repro.sim import ProcessKilled
 
     caught = []
@@ -301,8 +301,8 @@ def test_kill_blocked_process():
     assert not p.is_alive
 
 
-def test_kill_mid_compute_aborts_remaining_work():
-    env = Environment(n_cores=1, timeslice=10)
+def test_kill_mid_compute_aborts_remaining_work(env_cls):
+    env = env_cls(n_cores=1, timeslice=10)
 
     def victim():
         yield Compute(10_000)
@@ -315,11 +315,11 @@ def test_kill_mid_compute_aborts_remaining_work():
     assert env.now < 200
 
 
-def test_kill_survivor_is_not_woken_by_stale_timeout():
+def test_kill_survivor_is_not_woken_by_stale_timeout(env_cls):
     """A process that catches a kill delivered while it sleeps and sleeps
     again wakes when its new Timeout ends, not when the old one would
     have."""
-    env = Environment()
+    env = env_cls()
     from repro.sim import ProcessKilled
 
     woke = []
@@ -339,10 +339,10 @@ def test_kill_survivor_is_not_woken_by_stale_timeout():
     assert p.terminated.triggered and not p.is_alive
 
 
-def test_kill_survivor_is_not_woken_by_stale_event():
+def test_kill_survivor_is_not_woken_by_stale_event(env_cls):
     """The same for a kill delivered while the process waits on an event:
     the event's later trigger must not resume the survivor's next wait."""
-    env = Environment()
+    env = env_cls()
     from repro.sim import ProcessKilled
 
     first, second = env.event(), env.event()
@@ -365,10 +365,10 @@ def test_kill_survivor_is_not_woken_by_stale_event():
     assert not p.is_alive
 
 
-def test_kill_survivor_computes_to_the_end():
+def test_kill_survivor_computes_to_the_end(env_cls):
     """A stale wakeup landing mid-Compute must not resume the survivor
     early: its Compute runs to the end, then it finishes once."""
-    env = Environment(n_cores=1)
+    env = env_cls(n_cores=1)
     from repro.sim import ProcessKilled
 
     def survivor():
@@ -386,8 +386,8 @@ def test_kill_survivor_computes_to_the_end():
     assert env.stats.cycles[p.pid]["app"] == 200
 
 
-def test_invalid_yield_raises_typeerror_into_process():
-    env = Environment()
+def test_invalid_yield_raises_typeerror_into_process(env_cls):
+    env = env_cls()
     caught = []
 
     def proc():
@@ -401,8 +401,8 @@ def test_invalid_yield_raises_typeerror_into_process():
     assert caught == [True]
 
 
-def test_stats_tags_accumulate():
-    env = Environment(n_cores=1)
+def test_stats_tags_accumulate(env_cls):
+    env = env_cls(n_cores=1)
 
     def proc():
         yield Compute(300, tag="copy")
@@ -415,8 +415,8 @@ def test_stats_tags_accumulate():
     assert env.stats.tag_share("copy", pid=p.pid) == pytest.approx(0.3)
 
 
-def test_stats_cpi():
-    env = Environment(n_cores=1)
+def test_stats_cpi(env_cls):
+    env = env_cls(n_cores=1)
 
     def proc():
         yield Compute(1000, tag="app", instructions=500)
@@ -431,8 +431,8 @@ def test_negative_compute_rejected():
         Compute(-5)
 
 
-def test_utilization_reflects_busy_fraction():
-    env = Environment(n_cores=2)
+def test_utilization_reflects_busy_fraction(env_cls):
+    env = env_cls(n_cores=2)
 
     def proc():
         yield Compute(500)

@@ -25,6 +25,7 @@ import pytest
 
 from repro.sim import Compute, Environment
 from repro.sim.engine import DEFAULT_RUN_LIMIT, StepReport
+from repro.sim.heapengine import HeapEnvironment
 from tests.copier.conftest import Setup
 
 # ------------------------------------------------------------ step basics
@@ -34,8 +35,8 @@ def test_default_run_limit_is_exported():
     assert DEFAULT_RUN_LIMIT == 500_000_000_000
 
 
-def test_step_event_budget():
-    env = Environment()
+def test_step_event_budget(env_cls):
+    env = env_cls()
     fired = []
     for i in range(5):
         env.schedule(10 * (i + 1), lambda i=i: fired.append(i))
@@ -60,8 +61,8 @@ def test_step_event_budget():
     assert (report.executed, report.now, report.idle) == (0, 50, True)
 
 
-def test_step_cycle_horizon():
-    env = Environment()
+def test_step_cycle_horizon(env_cls):
+    env = env_cls()
     env.schedule(50, lambda: None)
 
     # The clock advances *to* the horizon even when nothing executes...
@@ -75,8 +76,8 @@ def test_step_cycle_horizon():
     assert (report.executed, report.now, report.idle) == (0, 75, True)
 
 
-def test_step_event_budget_blocks_horizon_skip():
-    env = Environment()
+def test_step_event_budget_blocks_horizon_skip(env_cls):
+    env = env_cls()
     for t in (10, 20, 30):
         env.schedule(t, lambda: None)
 
@@ -104,9 +105,9 @@ def _self_scheduling(env):
     return state
 
 
-def test_step_max_cycles_equals_run_until_horizon():
+def test_step_max_cycles_equals_run_until_horizon(env_cls):
     """``step(max_cycles=c)`` is ``run(until=now+c)``, slice for slice."""
-    a, b = Environment(), Environment()
+    a, b = env_cls(), env_cls()
     sa, sb = _self_scheduling(a), _self_scheduling(b)
     for c in (13, 1, 50, 7, 200, 1000):
         a.run(until=a.now + c)
@@ -119,16 +120,13 @@ def test_step_max_cycles_equals_run_until_horizon():
 # ------------------------------------------------- schedule delay typing
 
 
-@pytest.mark.parametrize("slowheap", [False, True], ids=["calendar", "slowheap"])
-def test_schedule_delay_validated_at_the_seam(monkeypatch, slowheap):
+@pytest.mark.parametrize("loop_cls", [Environment, HeapEnvironment],
+                         ids=["calendar", "slowheap"])
+def test_schedule_delay_validated_at_the_seam(loop_cls):
     """Delays are whole cycles: non-integral or non-numeric delays are a
     typed error, integral floats normalize to int, negatives stay a
     ValueError — identically in both queue flavors."""
-    if slowheap:
-        monkeypatch.setenv("COPIER_SLOWHEAP", "1")
-    else:
-        monkeypatch.delenv("COPIER_SLOWHEAP", raising=False)
-    env = Environment()
+    env = loop_cls()
     for bad in (1.5, float("nan"), float("inf"), "10", None, True, 10 + 0j):
         with pytest.raises(TypeError, match="delay"):
             env.schedule(bad, lambda: None)
@@ -149,8 +147,8 @@ def test_schedule_delay_validated_at_the_seam(monkeypatch, slowheap):
 
 
 @pytest.mark.parametrize("outer", ["run", "step"])
-def test_loop_reentry_from_event_raises(outer):
-    env = Environment()
+def test_loop_reentry_from_event_raises(env_cls, outer):
+    env = env_cls()
     seen = []
 
     def from_inside():
@@ -171,8 +169,8 @@ def test_loop_reentry_from_event_raises(outer):
     assert all("re-entered" in msg for msg in seen)
 
 
-def test_loop_usable_again_after_reentry_error():
-    env = Environment()
+def test_loop_usable_again_after_reentry_error(env_cls):
+    env = env_cls()
 
     def from_inside():
         with pytest.raises(RuntimeError):
