@@ -161,12 +161,6 @@ def _serialize_client(service, client):
         },
         "barriers": (barriers._current_barrier_pos, barriers._barrier_epoch,
                      barriers._k_sequence, barriers.barriers_recorded),
-        "desc_pool": {
-            "hits": client.desc_pool.hits,
-            "misses": client.desc_pool.misses,
-            "free": {cls: len(lst)
-                     for cls, lst in client.desc_pool._free.items()},
-        },
         "stats": _slots_dict(client.stats),
         "scheduler_length": service.scheduler._client_length[client],
     }
@@ -566,15 +560,6 @@ def _restore_copier(system, cp, trace_data, asid_map):
         barriers = client.barriers
         (barriers._current_barrier_pos, barriers._barrier_epoch,
          barriers._k_sequence, barriers.barriers_recorded) = rec["barriers"]
-        pool = client.desc_pool
-        pool.hits = rec["desc_pool"]["hits"]
-        pool.misses = rec["desc_pool"]["misses"]
-        for cls, count in rec["desc_pool"]["free"].items():
-            free = pool._free[cls]
-            while len(free) > count:
-                free.pop()
-            while len(free) < count:
-                free.append(_fresh_descriptor(cls, pool))
         _set_slots(client.stats, rec["stats"])
         svc.scheduler._client_length[client] = rec["scheduler_length"]
     adm = svc.admission
@@ -610,12 +595,6 @@ def _restore_copier(system, cp, trace_data, asid_map):
     agg.watchdog_alerts = dict(trace_data["watchdog_alerts"])
     agg.events_seen = trace_data["events_seen"]
     return svc
-
-
-def _fresh_descriptor(cls, pool):
-    from repro.copier.descriptor import Descriptor
-
-    return Descriptor(cls, pool.segment_bytes, pool=pool, size_class=cls)
 
 
 def _rebuild_bucket(env, rate, burst, tokens, refill):

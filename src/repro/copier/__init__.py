@@ -3,7 +3,7 @@
 Subpackage map — the copy path is layered by pipeline stage:
 
 - :mod:`repro.copier.task` — Copy/Sync/Barrier tasks and memory regions.
-- :mod:`repro.copier.descriptor` — segment bitmaps + descriptor pool (§4.1).
+- :mod:`repro.copier.descriptor` — segment progress bitmaps (§4.1).
 - :mod:`repro.copier.queues` — CSH ring queues, u-mode and k-mode (§4.1).
 - :mod:`repro.copier.deps` — order & data dependency tracking (§4.2).
 - :mod:`repro.copier.client` — the submission stage: CopierClient,
@@ -32,7 +32,7 @@ reports derive per-stage latency breakdowns.
 """
 
 from repro.copier.task import CopyTask, SyncTask, BarrierTask, Region
-from repro.copier.descriptor import Descriptor, DescriptorPool
+from repro.copier.descriptor import Descriptor
 from repro.copier.queues import RingQueue, ClientQueues, QueueFull
 from repro.copier.atcache import ATCache
 from repro.copier.polling import (AdaptivePolicy, NapiPolicy, PollingPolicy,
@@ -53,7 +53,6 @@ __all__ = [
     "BarrierTask",
     "Region",
     "Descriptor",
-    "DescriptorPool",
     "RingQueue",
     "ClientQueues",
     "QueueFull",

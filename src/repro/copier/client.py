@@ -1,7 +1,7 @@
 """The submission layer: registered clients and their developer-facing API.
 
-A :class:`CopierClient` owns one client's CSH queues, barrier bookkeeping,
-descriptor pool and pending-task state.  The ``amemcpy``/``csync`` methods
+A :class:`CopierClient` owns one client's CSH queues, barrier bookkeeping
+and pending-task state.  The ``amemcpy``/``csync`` methods
 here are the *mechanism* (queue protocol + cycle charging);
 :mod:`repro.api.libcopier` wraps them in the paper's high-level developer
 API.  All methods that consume simulated time are generators — call them
@@ -11,7 +11,7 @@ with ``yield from`` inside a simulator process.
 from repro.copier import task as task_mod
 from repro.copier.admission import REJECT, SHED
 from repro.copier.deps import BarrierBookkeeping, PendingTasks, u_order_key
-from repro.copier.descriptor import DescriptorPool
+from repro.copier.descriptor import Descriptor
 from repro.copier.errors import AdmissionReject, CopyAborted, DeadlineMissed
 from repro.copier.queues import ClientQueues, QueueFull
 from repro.copier.task import CopyTask, Region, SyncTask
@@ -83,7 +83,6 @@ class CopierClient:
         #: Every submitted task until a prune drops it after it finished:
         #: the interval index all region queries go through.
         self.task_index = self.pending.index
-        self.desc_pool = DescriptorPool(self.segment_bytes)
         self.stats = ClientStats()
         self.outstanding_bytes = 0  # admitted async bytes not yet retired
         #: Unretired tasks carrying a deadline or a cancel mark: while it
@@ -150,10 +149,9 @@ class CopierClient:
                     deadline=None, on_retire=None):
         params = self.service.params
         cost = params.queue_submit_cycles
-        pooled = descriptor is None
         if descriptor is None:
-            descriptor = self.desc_pool.acquire(
-                src.length, segment_bytes or self.segment_bytes)
+            descriptor = Descriptor(src.length,
+                                    segment_bytes or self.segment_bytes)
             cost += params.descriptor_alloc_cycles
         yield Compute(cost, tag="copier-submit")
         task = CopyTask(
@@ -171,8 +169,6 @@ class CopierClient:
             # the drain loop must converge on the backlog it started with.
             self.stats.rejected_submits += 1
             admission.stats.rejected += 1
-            if pooled:
-                descriptor.release()
             trace = self.service.trace
             if trace.active:
                 trace.emit(AdmissionRejected(self.env.now, self.name,
@@ -182,8 +178,6 @@ class CopierClient:
         if decision == REJECT:
             self.stats.rejected_submits += 1
             admission.stats.rejected += 1
-            if pooled:
-                descriptor.release()
             trace = self.service.trace
             if trace.active:
                 trace.emit(AdmissionRejected(self.env.now, self.name,
@@ -481,8 +475,6 @@ class CopierClient:
             "outstanding_bytes": self.outstanding_bytes,
             "task_index": len(self.task_index),
             "scheduler_total": self.service.scheduler.client_total(self),
-            "descriptor_pool": {"hits": self.desc_pool.hits,
-                                "misses": self.desc_pool.misses},
         }
         snap.update(self.stats.as_dict())
         return snap

@@ -12,9 +12,9 @@ class Descriptor:
     """Progress bitmap for one async copy."""
 
     __slots__ = ("length", "segment_bytes", "_bits", "_ready_count",
-                 "n_segments", "_waiters", "pool", "size_class", "aborted")
+                 "n_segments", "_waiters", "aborted")
 
-    def __init__(self, length, segment_bytes, pool=None, size_class=None):
+    def __init__(self, length, segment_bytes):
         if length <= 0:
             raise ValueError("descriptor length must be positive")
         if segment_bytes <= 0:
@@ -25,8 +25,6 @@ class Descriptor:
         self._bits = 0
         self._ready_count = 0
         self._waiters = []  # (first_seg, last_seg, event)
-        self.pool = pool
-        self.size_class = size_class
         self.aborted = False
 
     # ------------------------------------------------------------- progress
@@ -131,71 +129,14 @@ class Descriptor:
             event.succeed()
 
     def reset(self):
+        """Clear all progress, for a caller that reuses its descriptor
+        across copies (libCopier's recycled I/O buffers, §5.1.1)."""
         self._bits = 0
         self._ready_count = 0
         self._waiters = []
         self.aborted = False
 
-    def release(self):
-        """Return a pooled descriptor to its pool (§5.1.1)."""
-        if self.pool is not None:
-            self.pool.release(self)
-
     def __repr__(self):
         return "<Descriptor %d/%d segs of %dB>" % (
             self._ready_count, self.n_segments, self.segment_bytes)
 
-
-class DescriptorPool:
-    """Pre-allocated descriptors by size class (§5.1.1).
-
-    libCopier keeps pools so task submission does not pay allocation on the
-    hot path; we track hit/miss counts so that benefit is observable.
-    """
-
-    #: Size classes in bytes; requests round up to the nearest class.
-    DEFAULT_CLASSES = (1024, 4096, 16384, 65536, 262144, 1048576)
-
-    def __init__(self, segment_bytes, classes=DEFAULT_CLASSES, prealloc=8):
-        self.segment_bytes = segment_bytes
-        self.classes = tuple(sorted(classes))
-        self._free = {c: [] for c in self.classes}
-        self.hits = 0
-        self.misses = 0
-        for c in self.classes:
-            for _ in range(prealloc):
-                self._free[c].append(
-                    Descriptor(c, segment_bytes, pool=self, size_class=c)
-                )
-
-    def _size_class(self, length):
-        for c in self.classes:
-            if length <= c:
-                return c
-        return None
-
-    def acquire(self, length, segment_bytes=None):
-        """Fetch a descriptor able to track ``length`` bytes.
-
-        Pooled descriptors keep the pool's segment size; odd sizes or
-        custom granularities fall back to direct allocation (a miss).
-        """
-        seg = segment_bytes or self.segment_bytes
-        size_class = self._size_class(length) if seg == self.segment_bytes else None
-        if size_class is not None and self._free[size_class]:
-            desc = self._free[size_class].pop()
-            # Re-shape the pooled descriptor to the exact length.
-            desc.length = length
-            desc.n_segments = (length + seg - 1) // seg
-            desc.reset()
-            self.hits += 1
-            return desc
-        self.misses += 1
-        return Descriptor(length, seg, pool=self if size_class else None,
-                          size_class=size_class)
-
-    def release(self, descriptor):
-        if descriptor.size_class is None:
-            return
-        descriptor.reset()
-        self._free[descriptor.size_class].append(descriptor)

@@ -225,24 +225,6 @@ class TestReject:
         rejects = [e for e in events if e.kind == "admission-reject"]
         assert len(rejects) == 1 and rejects[0].client_name == "app"
 
-    def test_reject_releases_pooled_descriptor(self):
-        setup = Setup(admission=RejectEverything())
-        aspace, client = setup.aspace, setup.client
-        src = aspace.mmap(4096, populate=True)
-        dst = aspace.mmap(4096, populate=True)
-
-        def gen():
-            for _ in range(8):
-                with pytest.raises(AdmissionReject):
-                    yield from client.amemcpy(dst, src, 4096)
-
-        setup.run_process(gen())
-        # Every rejected submission returned its descriptor to the pool:
-        # after the first miss-allocation, all acquires are pool hits.
-        pool = client.desc_pool
-        assert pool.hits + pool.misses == 8
-        assert pool.hits >= 7
-
     def test_queue_depth_watermarks_shed_then_reject(self):
         """The real queue-depth policy: overlapping (unsheddable) tasks
         pile onto the sleeping service's ring until the backlog crosses

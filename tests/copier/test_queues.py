@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.copier.descriptor import Descriptor, DescriptorPool
+from repro.copier.descriptor import Descriptor
 from repro.copier.queues import ClientQueues, QueueFull, RingQueue
 from repro.sim import Environment
 
@@ -209,32 +209,3 @@ class TestDescriptor:
         assert d.ready_bytes() == length
         assert d.range_ready(0, length)
 
-
-class TestDescriptorPool:
-    def test_acquire_release_recycles(self):
-        pool = DescriptorPool(1024, prealloc=2)
-        d = pool.acquire(3000)
-        assert pool.hits == 1
-        d.mark(0)
-        d.release()
-        d2 = pool.acquire(2000)
-        assert d2.ready_segments == 0  # reset on reuse
-        assert pool.hits == 2
-
-    def test_oversize_request_misses(self):
-        pool = DescriptorPool(1024, classes=(1024, 4096), prealloc=1)
-        pool.acquire(1 << 20)
-        assert pool.misses == 1
-
-    def test_custom_segment_size_bypasses_pool(self):
-        pool = DescriptorPool(1024, prealloc=1)
-        d = pool.acquire(4096, segment_bytes=256)
-        assert d.segment_bytes == 256
-        assert pool.misses == 1
-
-    def test_exhausted_class_allocates_fresh(self):
-        pool = DescriptorPool(1024, prealloc=1)
-        d1 = pool.acquire(1024)
-        d2 = pool.acquire(1024)
-        assert d1 is not d2
-        assert pool.misses == 1

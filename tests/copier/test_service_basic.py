@@ -242,18 +242,3 @@ def test_lazy_task_executes_after_deadline(setup):
         return aspace.read(dst, 8)
 
     assert setup.run_process(app()) == b"deferred"
-
-
-def test_descriptor_pool_reuse(setup):
-    aspace, client = setup.aspace, setup.client
-    src = aspace.mmap(PAGE_SIZE, populate=True)
-    dst = aspace.mmap(PAGE_SIZE, populate=True)
-
-    def app():
-        for _ in range(5):
-            desc = yield from client.amemcpy(dst, src, 1024)
-            yield from client.csync(dst, 1024)
-            desc.release()
-
-    setup.run_process(app())
-    assert client.desc_pool.hits >= 4  # recycled after the first round trip
