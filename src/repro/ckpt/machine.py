@@ -414,7 +414,11 @@ def checkpoint(system, stores=(), deadline=None):
 def _restore_aspace(aspace, data):
     aspace.asid = data["asid"]
     aspace.name = data["name"]
+    # The page table is replaced wholesale: no translation taken before
+    # (the run cache, a task's pinned runs) may survive it.
     aspace.page_table = {}
+    aspace._run_cache.clear()
+    aspace.generation += 1
     for vpn, (frame, writable, cow, pins) in data["page_table"].items():
         pte = PTE(frame, writable, cow=cow)
         pte.pin_count = pins
@@ -494,7 +498,8 @@ def _restore_copier(system, cp, trace_data, asid_map):
     if plan is None and svc.faults.armed:
         # The saved machine ran fault-free; COPIER_FAULT_PLAN in the
         # restoring process's environment must not arm it retroactively.
-        svc.faults = FaultInjector(None, env=env, trace=svc.trace)
+        svc.faults = FaultInjector(None, env=env, trace=svc.trace,
+                                   stages=svc.stage_stats)
         if svc.dma is not None:
             svc.dma.injector = None
     svc.scenario_active = cp["scenario_active"]

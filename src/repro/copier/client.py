@@ -169,6 +169,7 @@ class CopierClient:
             # the drain loop must converge on the backlog it started with.
             self.stats.rejected_submits += 1
             admission.stats.rejected += 1
+            self.service.stage_stats.seen()
             trace = self.service.trace
             if trace.active:
                 trace.emit(AdmissionRejected(self.env.now, self.name,
@@ -178,6 +179,7 @@ class CopierClient:
         if decision == REJECT:
             self.stats.rejected_submits += 1
             admission.stats.rejected += 1
+            self.service.stage_stats.seen()
             trace = self.service.trace
             if trace.active:
                 trace.emit(AdmissionRejected(self.env.now, self.name,
@@ -204,9 +206,11 @@ class CopierClient:
             self.overload_marked += 1
         self.stats.submitted += 1
         self.outstanding_bytes += src.length
+        now = self.env.now
+        self.service.stage_stats.submitted(now, task.task_id)
         trace = self.service.trace
         if trace.active:
-            trace.emit(TaskSubmitted(self.env.now, task.task_id, self.name,
+            trace.emit(TaskSubmitted(now, task.task_id, self.name,
                                      queue_kind, src.length, lazy))
         self.service.notify_submit(self)
         return descriptor
@@ -257,6 +261,7 @@ class CopierClient:
                 fn(*args)
             else:
                 self.u_queues.handler.submit((fn, args))
+        self.service.stage_stats.shed()
         trace = self.service.trace
         if trace.active:
             trace.emit(TaskShed(self.env.now, task.task_id, self.name,

@@ -171,6 +171,7 @@ class CompletionHandler:
                                                          span.nbytes)))
                 pos += span.nbytes
             repaired_bytes += dst_region.length
+        service.stage_stats.seen()
         trace = service.trace
         if trace.active:
             trace.emit(IntegrityMismatch(service.env.now, task.task_id,
@@ -205,6 +206,7 @@ class CompletionHandler:
             pass  # not ingested yet, or already plucked — benign
         client.stats.poisoned_tasks += 1
         self.service.integrity.poisoned_tasks += 1
+        self.service.stage_stats.seen()
         trace = self.service.trace
         if trace.active:
             trace.emit(IntegrityMismatch(self.service.env.now, task.task_id,
@@ -344,6 +346,7 @@ class CompletionHandler:
             task.src.aspace.unpin(task.src.start, task.src.length)
             task.dst.aspace.unpin(task.dst.start, task.dst.length)
             task.pinned = False
+            task.runs = None
 
     # -------------------------------------------------------------- handlers
 
@@ -387,11 +390,14 @@ class CompletionHandler:
             client.overload_marked -= 1
         client.landed.pop(task, None)
         client.task_index.retire(task)
-        self.service.tasks_retired += 1
-        trace = self.service.trace
+        service = self.service
+        service.tasks_retired += 1
+        now = service.env.now
+        service.stage_stats.finished(now, task.task_id, outcome)
+        trace = service.trace
         if trace.active:
-            trace.emit(TaskFinished(self.service.env.now, task.task_id,
-                                    client.name, outcome, task.length))
+            trace.emit(TaskFinished(now, task.task_id, client.name, outcome,
+                                    task.length))
         hook, task.on_retire = task.on_retire, None
         if hook is not None:
             hook(task, outcome)

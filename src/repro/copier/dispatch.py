@@ -11,6 +11,7 @@ copy instead of the CPU waiting for it.
 from repro.copier.absorption import (SourceSpan, _nearest_producer,
                                      absorbed_bytes, resolve_round_sources)
 from repro.copier.task import Region
+from repro.mem.addrspace import slice_runs
 from repro.mem.faults import MemoryFault
 from repro.mem.phys import PAGE_SIZE
 
@@ -379,17 +380,27 @@ class Dispatcher:
             return []
         first = group[0]
         total = sum(j.nbytes for j in group)
-        aspace = first.spans[0].aspace
-        dst_as = first.task.dst.aspace
-        try:
-            src_runs = aspace.translate_run(first.spans[0].va, total)
-            dst_runs = dst_as.translate_run(first.dst_va, total, write=True)
-        except MemoryFault:
-            # Unmapped/unwritable page somewhere in the group: retry per
-            # job so one faulted page only disqualifies the jobs it
-            # touches (the AVX path resolves the fault inline).  Anything
-            # other than a memory fault is a real bug and must propagate.
-            return self._split_group_per_job(group)
+        task = first.task
+        src_va = first.spans[0].va
+        pinned = task.pinned_runs()
+        if pinned is not None:
+            # Plain jobs read their own task's source: slice the pin's
+            # translation.
+            src_runs = slice_runs(pinned[0], src_va - task.src.start, total)
+            dst_runs = slice_runs(pinned[1], first.dst_va - task.dst.start,
+                                  total)
+        else:
+            try:
+                src_runs = first.spans[0].aspace.translate_run(src_va, total)
+                dst_runs = task.dst.aspace.translate_run(first.dst_va, total,
+                                                         write=True)
+            except MemoryFault:
+                # Unmapped/unwritable page somewhere in the group: retry
+                # per job so one faulted page only disqualifies the jobs
+                # it touches (the AVX path resolves the fault inline).
+                # Anything other than a memory fault is a real bug and
+                # must propagate.
+                return self._split_group_per_job(group)
         # Prefix-sum run boundaries → for each job offset, which physical
         # run (src, dst) contains it.
         runs = []

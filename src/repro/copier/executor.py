@@ -30,7 +30,7 @@ from repro.copier.errors import (DMAAbortError, DMASubmitError,
                                  FramePoisonError, PagePinError)
 from repro.copier.task import Region
 from repro.hw.dma import DMASubtask
-from repro.mem.addrspace import copy_range
+from repro.mem.addrspace import copy_range, copy_runs, runs_alias
 from repro.mem.faults import MemoryFault, SegmentationFault
 from repro.mem.phys import OutOfMemory
 from repro.sim import Compute, Timeout, WaitEvent
@@ -134,10 +134,12 @@ class CopyExecutor:
             # retirement.
             task.crc_expect = {}
         client.pending.add(task)
-        trace = self.service.trace
+        service = self.service
+        now = service.env.now
+        service.stage_stats.ingested(now, task.task_id)
+        trace = service.trace
         if trace.active:
-            trace.emit(TaskIngested(self.service.env.now, task.task_id,
-                                    client.name))
+            trace.emit(TaskIngested(now, task.task_id, client.name))
         return cost
 
     def _pin_task(self, task):
@@ -145,15 +147,26 @@ class CopyExecutor:
         inj = self.service.faults
         if inj.armed and inj.fire("pin_fail"):
             raise PagePinError("transient pin failure on source range")
-        task.src.aspace.pin(task.src.start, task.src.length)
+        src_as, dst_as = task.src.aspace, task.dst.aspace
+        generations = (src_as.generation, dst_as.generation)
+        src_runs = src_as.pin(task.src.start, task.src.length)
         try:
             if inj.armed and inj.fire("pin_fail"):
                 raise PagePinError("transient pin failure on destination range")
         except PagePinError:
-            task.src.aspace.unpin(task.src.start, task.src.length)
+            src_as.unpin(task.src.start, task.src.length)
             raise
-        task.dst.aspace.pin(task.dst.start, task.dst.length, write=True)
+        dst_runs = dst_as.pin(task.dst.start, task.dst.length, write=True)
         task.pinned = True
+        # Keep the pin's translation for the data path unless a pin
+        # itself changed a mapping, the copy overlaps itself in frames,
+        # or a side is the per-page reference class (it translates
+        # every access on purpose).
+        if (src_as.generation, dst_as.generation) == generations \
+                and not (src_as.page_walk or dst_as.page_walk) \
+                and not (src_as.phys is dst_as.phys
+                         and runs_alias(src_runs, dst_runs)):
+            task.runs = (src_runs, dst_runs) + generations
 
     # ------------------------------------------------------------ sync path
 
@@ -294,6 +307,7 @@ class CopyExecutor:
     def execute_plan(self, client, plan):
         service = self.service
         params = service.params
+        service.stage_stats.planned()
         trace = service.trace
         if trace.active:
             trace.emit(RoundPlanned(service.env.now, client.name, plan.mode,
@@ -414,6 +428,7 @@ class CopyExecutor:
             nbytes = sum(job.nbytes for job in redo)
             stats.engine_fallbacks += 1
             stats.fallback_bytes += nbytes
+            service.stage_stats.seen()
             if trace.active:
                 trace.emit(EngineFallback(service.env.now, run.task.task_id,
                                           client.name, nbytes, reason))
@@ -459,10 +474,12 @@ class CopyExecutor:
                                                    job.seg_index, crc)
             client.stats.bytes_copied += run.nbytes
             service.scheduler.charge(client, run.nbytes)
+            now = service.env.now
+            service.stage_stats.executed(now, run.task.task_id)
             trace = service.trace
             if trace.active:
-                trace.emit(DmaCompleted(service.env.now, run.task.task_id,
-                                        run.nbytes, len(run.jobs)))
+                trace.emit(DmaCompleted(now, run.task.task_id, run.nbytes,
+                                        len(run.jobs)))
         return on_done
 
     def write_spans(self, client, task, seg_index, dst_region, spans):
@@ -477,22 +494,29 @@ class CopyExecutor:
         if len(spans) == 1:
             # Common case: one resolved span — move it run-to-run with no
             # intermediate buffer (snapshot semantics are preserved by
-            # copy_range's alias check).
+            # copy_range's alias check, and by the pin keeping no runs
+            # for a task whose frames alias).
             span = spans[0]
             if task.crc_expect is not None:
                 self.completion.expect_crc(
                     client, task, seg_index,
                     zlib.crc32(bytes(span.aspace.read(
                         span.va, span.nbytes))) & 0xFFFFFFFF)
-            if torn:
-                # Silent torn write: half the segment lands, the engine
-                # still reports success below.  Only the E2E CRC can
-                # tell.
-                copy_range(span.aspace, span.va, dst_as, dst_region.start,
-                           span.nbytes // 2)
+            # A silent torn write lands half the segment, and the engine
+            # still reports success below.  Only the E2E CRC can tell.
+            nbytes = span.nbytes // 2 if torn else span.nbytes
+            src = task.src
+            runs = task.pinned_runs() if span.aspace is src.aspace else None
+            offset = span.va - src.start
+            if runs is not None and 0 <= offset <= src.length - span.nbytes:
+                # The span lies in the task's own pinned source: slice
+                # the runs the pin translated instead of walking both
+                # ranges again.
+                copy_runs(src.aspace.phys, runs[0], offset, dst_as.phys,
+                          runs[1], dst_region.start - task.dst.start, nbytes)
             else:
                 copy_range(span.aspace, span.va, dst_as, dst_region.start,
-                           span.nbytes)
+                           nbytes)
             absorbed = span.nbytes if span.absorbed else 0
         else:
             data = bytearray(dst_region.length)
@@ -520,10 +544,11 @@ class CopyExecutor:
         client.stats.bytes_copied += dst_region.length
         client.stats.bytes_absorbed += absorbed
         service.scheduler.charge(client, dst_region.length)
+        now = service.env.now
         if task.started_at is None:
-            task.started_at = service.env.now
+            task.started_at = now
+        service.stage_stats.executed(now, task.task_id)
         trace = service.trace
         if trace.active:
-            trace.emit(SegmentExecuted(service.env.now, task.task_id,
-                                       seg_index, dst_region.length, "avx",
-                                       absorbed))
+            trace.emit(SegmentExecuted(now, task.task_id, seg_index,
+                                       dst_region.length, "avx", absorbed))

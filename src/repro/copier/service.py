@@ -8,9 +8,11 @@ One :class:`CopierService` per machine — it wires the layers together:
 * :mod:`repro.copier.executor` — ingest, fault handling, round execution;
 * :mod:`repro.copier.completion` — task retirement and FUNC handlers.
 
-Stage boundaries emit typed events on the machine-wide trace bus
-(:mod:`repro.sim.trace`); ``service.stage_stats`` aggregates them into
-the latency breakdown :mod:`repro.tools.copierstat` renders.
+Each stage boundary calls ``service.stage_stats`` (a
+:class:`~repro.sim.trace.StageAggregator`) with plain values, folding the
+latency breakdown :mod:`repro.tools.copierstat` renders, and emits a
+typed event on the machine-wide trace bus (:mod:`repro.sim.trace`) only
+while something outside the service subscribes to it.
 """
 
 from repro.copier.admission import AdmissionController
@@ -77,7 +79,7 @@ class CopierService:
         self.params = params
         self.policy = make_policy(polling)
         self.trace = trace if trace is not None else env.trace
-        self.stage_stats = StageAggregator(self.trace)
+        self.stage_stats = StageAggregator()
         self.scheduler = CopierScheduler(params)
         self.atcache = ATCache(params)
         self.dispatcher = Dispatcher(params, use_dma=use_dma,
@@ -89,7 +91,8 @@ class CopierService:
         # so the unarmed path costs one attribute check).
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
-        self.faults = FaultInjector(fault_plan, env=env, trace=self.trace)
+        self.faults = FaultInjector(fault_plan, env=env, trace=self.trace,
+                                    stages=self.stage_stats)
         self.fault_stats = RecoveryStats()
         # End-to-end copy-path integrity (opt-in): checksum each task's
         # intended bytes as they are produced and verify the destination
@@ -200,6 +203,7 @@ class CopierService:
         self._departed_aspaces.append(client.aspace)
         self.remove_client(client)
         self.lifecycle.processes_reaped += 1
+        self.stage_stats.seen()
         if self.trace.active:
             self.trace.emit(ProcessReaped(self.env.now, client.name, count))
         return count
@@ -348,6 +352,7 @@ class CopierService:
             "leaked_pins": leaked,
         }
         self._shutdown_report = report
+        self.stage_stats.seen()
         if self.trace.active:
             self.trace.emit(ServiceDrained(env.now, drained, requeued,
                                            force_reaped, report["cycles"]))

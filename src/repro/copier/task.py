@@ -112,6 +112,7 @@ class CopyTask:
         "on_retire",
         "crc_expect",
         "dma_used",
+        "runs",
     )
 
     def __init__(self, client, queue_kind, src, dst, descriptor,
@@ -156,6 +157,23 @@ class CopyTask:
         #: True once any segment of this task ran on the DMA engine —
         #: the quarantine target when verification catches corruption.
         self.dma_used = False
+        #: ``(src_runs, dst_runs, src_generation, dst_generation)``: the
+        #: frame runs the pin translated, kept from pin to unpin when it
+        #: is safe to reuse them (see :meth:`pinned_runs`), else ``None``.
+        self.runs = None
+
+    def pinned_runs(self):
+        """``(src_runs, dst_runs)`` from the pin while both address
+        spaces' mapping generations are unchanged, else ``None`` — the
+        caller then translates afresh."""
+        runs = self.runs
+        if runs is None:
+            return None
+        if (self.src.aspace.generation != runs[2]
+                or self.dst.aspace.generation != runs[3]):
+            self.runs = None  # generations only grow: stale for good
+            return None
+        return runs
 
     @property
     def length(self):

@@ -166,6 +166,7 @@ class CopierWatchdog:
         backlog_tasks, oldest, starved = self._backlog()
         stats.oldest_pending_age = (now - oldest) if oldest is not None else 0
         trace = self.service.trace
+        stages = self.service.stage_stats
 
         if backlog_tasks == 0:
             # Quiescent: nothing to watch; a submission re-arms us.
@@ -177,6 +178,7 @@ class CopierWatchdog:
             self._stall_streak += 1
         if self._stall_streak >= self.stall_checks:
             stats.stall_alerts += 1
+            stages.alert(WatchdogStall.kind)
             if trace.active:
                 trace.emit(WatchdogStall(now, backlog_tasks,
                                          stats.last_progress_age))
@@ -187,6 +189,7 @@ class CopierWatchdog:
             if name not in self._flagged_starved:
                 self._flagged_starved.add(name)
                 stats.starvation_alerts += 1
+                stages.alert(WatchdogStarvation.kind)
                 if trace.active:
                     trace.emit(WatchdogStarvation(now, name, age))
         starved_names = [name for name, _age in starved]
@@ -196,6 +199,7 @@ class CopierWatchdog:
         if (self.service.dispatcher.dma_quarantined
                 and stats.last_progress_age >= self.period_cycles):
             stats.quarantine_alerts += 1
+            stages.alert(WatchdogQuarantine.kind)
             if trace.active:
                 trace.emit(WatchdogQuarantine(now, backlog_tasks))
 

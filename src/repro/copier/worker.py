@@ -266,15 +266,18 @@ class CopierWorker:
                         service.fault_stats.spurious_wakeups += 1
                         event.succeed()
                 service.env.schedule(delay, spurious)
+        stages = service.stage_stats
         trace = service.trace
         slept_at = service.env.now
+        stages.slept()
         if trace.active:
             trace.emit(ThreadSleep(slept_at, self.tid))
         yield WaitEvent(event)
         service._wake_events.pop(self.tid, None)
+        now = service.env.now
+        stages.woke(now - slept_at)
         if trace.active:
-            trace.emit(ThreadWake(service.env.now, self.tid,
-                                  service.env.now - slept_at))
+            trace.emit(ThreadWake(now, self.tid, now - slept_at))
         if wake_cost is None:
             wake_cost = service.params.scenario_wake_cycles
         yield Compute(wake_cost, tag="copier-mgmt")

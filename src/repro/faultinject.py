@@ -302,10 +302,16 @@ class FaultInjector:
     nothing measurable (the Fig-11 "unchanged within noise" requirement).
     """
 
-    def __init__(self, plan=None, env=None, trace=None):
+    def __init__(self, plan=None, env=None, trace=None, stages=None):
         self.plan = plan
+        #: Every injection site tests this before consulting the plan.
+        self.armed = plan is not None
         self.env = env
         self.trace = trace
+        #: The service's :class:`~repro.sim.trace.StageAggregator`, which
+        #: counts every ``fault-injected`` event whether or not the bus
+        #: has a subscriber to build it for.
+        self.stages = stages
         self.injected = {}
         self._rngs = {}
         self._consecutive = {}
@@ -314,10 +320,6 @@ class FaultInjector:
                 self._rngs[kind] = random.Random((plan.seed, kind).__repr__())
                 self._consecutive[kind] = 0
                 self.injected[kind] = 0
-
-    @property
-    def armed(self):
-        return self.plan is not None
 
     @property
     def plan_name(self):
@@ -372,8 +374,12 @@ class FaultInjector:
         return self._rngs[kind].randrange(n)
 
     def _trace(self, kind):
+        if self.env is None:
+            return
+        if self.stages is not None:
+            self.stages.seen()
         trace = self.trace
-        if trace is not None and trace.active and self.env is not None:
+        if trace is not None and trace.active:
             from repro.sim.trace import FaultInjected
             trace.emit(FaultInjected(self.env.now, kind))
 

@@ -337,7 +337,8 @@ class LossyChaosController(FleetChaosController):
             copier = node.system.copier
             if copier is None or node.node_id in self._armed_nodes:
                 continue
-            inj = FaultInjector(plan, env=copier.env, trace=copier.trace)
+            inj = FaultInjector(plan, env=copier.env, trace=copier.trace,
+                                stages=copier.stage_stats)
             self._armed_nodes[node.node_id] = (copier, copier.faults,
                                                copier.e2e_crc)
             copier.faults = inj

@@ -179,8 +179,7 @@ def _send_zerocopy(system, proc, sock, va, nbytes):
     # TX-drain goes through the frames, so an exit/munmap racing the drain
     # only defers the pages until unpin instead of faulting the NIC read.
     aspace = proc.aspace
-    aspace.pin(va, nbytes)
-    runs = aspace.translate_run(va, nbytes)
+    runs = aspace.pin(va, nbytes)
     phys = aspace.phys
 
     def on_tx_done():

@@ -84,6 +84,9 @@ class AddressSpace:
         self.fault_counts = {"demand_zero": 0, "cow_copy": 0, "cow_reuse": 0}
         self._invalidation_hooks = []
         self._run_cache = {}  # vpn -> (frame, writable); the software TLB
+        # Bumped by every mapping change (``_invalidate``): frame runs
+        # captured at generation g are current while it still reads g.
+        self.generation = 0
         # Lazy teardown: pinned pages survive their VMA as (vpn, pte)
         # entries here; the last unpin frees the frame (§4.3 lifecycle).
         self._lazy_teardown = []
@@ -477,11 +480,17 @@ class AddressSpace:
     # ------------------------------------------------------------ pin / fork
 
     def pin(self, va, length, write=False):
-        """Pin pages so their mapping cannot change during an async copy."""
-        self.ensure_mapped(va, length, write=write)
+        """Pin pages so their mapping cannot change during an async copy.
+
+        Resolves legal faults first (ascending, like :meth:`ensure_mapped`)
+        and returns the range's frame runs, as :meth:`translate_run` would
+        right after.  They stay current while :attr:`generation` does.
+        """
+        runs = self._walk_runs(va, length, write, resolve=True)
         page_table = self.page_table
         for vpn in range(va // PAGE_SIZE, pages_end(va, length)):
             page_table[vpn].pin_count += 1
+        return runs
 
     def unpin(self, va, length):
         page_table = self.page_table
@@ -552,6 +561,7 @@ class AddressSpace:
         self._invalidation_hooks.append(fn)
 
     def _invalidate(self, vpn):
+        self.generation += 1
         self._run_cache.pop(vpn, None)
         for fn in self._invalidation_hooks:
             fn(self.asid, vpn)
@@ -579,47 +589,89 @@ def copy_range(src_as, src_va, dst_as, dst_va, nbytes):
     # (and with them DMA candidacy) are identical.
     src_runs = src_as._walk_runs(src_va, nbytes, False, resolve=True)
     dst_runs = dst_as._walk_runs(dst_va, nbytes, True, resolve=True)
-    if src_as.phys is dst_as.phys and _runs_alias(src_runs, dst_runs):
+    if src_as.phys is dst_as.phys and runs_alias(src_runs, dst_runs):
         buf = bytearray(nbytes)
         src_as.read_into(src_va, buf)
         dst_as.write_from(dst_va, buf)
         return
-    phys = dst_as.phys
-    copy_run = phys.copy_run
-    read_run = src_as.phys.read_run
+    copy_runs(src_as.phys, src_runs, 0, dst_as.phys, dst_runs, 0, nbytes)
+
+
+def copy_runs(src_phys, src_runs, src_off, dst_phys, dst_runs, dst_off,
+              nbytes):
+    """Move ``nbytes`` from byte ``src_off`` of the range frame runs
+    ``src_runs`` cover to byte ``dst_off`` of the range ``dst_runs`` cover.
+
+    The two byte ranges must not alias (the caller checks, as
+    :func:`copy_range` does).
+    """
+    if nbytes <= 0:
+        return
     si = di = 0
     s_frame, s_off, s_left = src_runs[0]
+    while src_off >= s_left:
+        src_off -= s_left
+        si += 1
+        s_frame, s_off, s_left = src_runs[si]
     d_frame, d_off, d_left = dst_runs[0]
-    same_phys = src_as.phys is phys
+    while dst_off >= d_left:
+        dst_off -= d_left
+        di += 1
+        d_frame, d_off, d_left = dst_runs[di]
+    # A run is physically contiguous, so an offset past its first frame
+    # still addresses the right byte.
+    s_off += src_off
+    s_left -= src_off
+    d_off += dst_off
+    d_left -= dst_off
+    same_phys = src_phys is dst_phys
     while True:
-        chunk = s_left if s_left < d_left else d_left
+        chunk = min(s_left, d_left, nbytes)
         if same_phys:
-            copy_run(s_frame, s_off, d_frame, d_off, chunk)
+            dst_phys.copy_run(s_frame, s_off, d_frame, d_off, chunk)
         else:
-            tmp = bytearray(chunk)
-            read_run(s_frame, s_off, memoryview(tmp), 0, chunk)
-            phys.write_run(d_frame, d_off, memoryview(tmp), 0, chunk)
+            tmp = memoryview(bytearray(chunk))
+            src_phys.read_run(s_frame, s_off, tmp, 0, chunk)
+            dst_phys.write_run(d_frame, d_off, tmp, 0, chunk)
+        nbytes -= chunk
+        if nbytes == 0:
+            return
         s_left -= chunk
-        d_left -= chunk
         if s_left == 0:
             si += 1
-            if si == len(src_runs):
-                break
             s_frame, s_off, s_left = src_runs[si]
         else:
             s_off += chunk
-            s_frame += s_off // PAGE_SIZE
-            s_off %= PAGE_SIZE
+        d_left -= chunk
         if d_left == 0:
             di += 1
             d_frame, d_off, d_left = dst_runs[di]
         else:
             d_off += chunk
-            d_frame += d_off // PAGE_SIZE
-            d_off %= PAGE_SIZE
 
 
-def _runs_alias(src_runs, dst_runs):
+def slice_runs(runs, offset, length):
+    """The frame runs of bytes [offset, offset+length) of the range that
+    ``runs`` covers — what :meth:`AddressSpace.translate_run` returns for
+    that sub-range while the mapping is unchanged."""
+    out = []
+    for frame, run_off, nbytes in runs:
+        if offset >= nbytes:
+            offset -= nbytes
+            continue
+        pos = run_off + offset
+        take = nbytes - offset
+        if take > length:
+            take = length
+        out.append((frame + pos // PAGE_SIZE, pos % PAGE_SIZE, take))
+        length -= take
+        if length <= 0:
+            break
+        offset = 0
+    return out
+
+
+def runs_alias(src_runs, dst_runs):
     """True if any source frame interval intersects a destination one."""
     for s_frame, s_off, s_len in src_runs:
         s_last = s_frame + (s_off + s_len - 1) // PAGE_SIZE

@@ -47,10 +47,14 @@ mid-flight), ``"exit-reap"`` (owning process exited), ``"drain-reap"``
 (uncorrectable frame under the copy) outcomes.
 
 The bus itself is policy-free: ``subscribe`` a callable, every event is
-delivered synchronously in emission order.  :class:`StageAggregator` is the
-standard subscriber — it folds the per-task event streams into the
-submit→ingest→execute→complete latency breakdown that ``copierstat`` and
-the benchmark reports print.
+delivered synchronously in emission order.  The Copier does not subscribe
+to it: its :class:`StageAggregator` is called directly at each stage
+boundary with plain values and folds the submit→ingest→execute→complete
+latency breakdown that ``copierstat`` and the benchmark reports print.
+An event object is built only while :attr:`TraceBus.active`, that is
+while some outside subscriber (a test, a tool, perfbench's stage sampler)
+listens; with none, a stage boundary costs one method call and one
+attribute test.
 
 One bus exists per simulated machine (``Environment.trace``), so kernel
 services and future subsystems can share the same spine.
@@ -367,7 +371,16 @@ STAGE_NAMES = (
 
 
 class StageAggregator:
-    """Folds the event stream into per-stage latency statistics.
+    """Folds the copy path's stage boundaries into per-stage latency
+    statistics.
+
+    The copier calls the plain-value methods (:meth:`submitted`,
+    :meth:`ingested`, :meth:`executed`, :meth:`finished`, ...) at each
+    boundary, so no event object is built for it.  As a bus subscriber
+    (``__call__``) it folds the same events through the same methods,
+    which is how a subclass can see another machine's stream.  Every
+    call counts one event in ``events_seen`` — :meth:`seen` for the
+    events that carry nothing to fold.
 
     Memory is O(in-flight tasks): per-task timestamps are dropped the
     moment the task retires.  Only tasks that retire ``done`` contribute
@@ -376,7 +389,7 @@ class StageAggregator:
     counted in ``outcomes``).
     """
 
-    def __init__(self, bus=None):
+    def __init__(self):
         self.stages = {name: StageLatency() for name in STAGE_NAMES}
         self.outcomes = {"done": 0, "aborted": 0, "dropped": 0}
         self.thread_sleeps = 0
@@ -389,75 +402,88 @@ class StageAggregator:
         self._ingested = {}
         self._first_exec = {}
         self._dispatch = {
-            TaskSubmitted: self._on_submitted,
-            TaskIngested: self._on_ingested,
-            RoundPlanned: self._on_round,
-            SegmentExecuted: self._on_executed,
-            DmaCompleted: self._on_executed,
-            TaskFinished: self._on_finished,
-            ThreadSleep: self._on_sleep,
-            ThreadWake: self._on_wake,
-            TaskShed: self._on_shed,
-            WatchdogStall: self._on_watchdog,
-            WatchdogStarvation: self._on_watchdog,
-            WatchdogQuarantine: self._on_watchdog,
+            TaskSubmitted: lambda e: self.submitted(e.ts, e.task_id),
+            TaskIngested: lambda e: self.ingested(e.ts, e.task_id),
+            RoundPlanned: lambda e: self.planned(),
+            SegmentExecuted: lambda e: self.executed(e.ts, e.task_id),
+            DmaCompleted: lambda e: self.executed(e.ts, e.task_id),
+            TaskFinished: lambda e: self.finished(e.ts, e.task_id,
+                                                  e.outcome),
+            ThreadSleep: lambda e: self.slept(),
+            ThreadWake: lambda e: self.woke(e.slept_cycles),
+            TaskShed: lambda e: self.shed(),
+            WatchdogStall: lambda e: self.alert(e.kind),
+            WatchdogStarvation: lambda e: self.alert(e.kind),
+            WatchdogQuarantine: lambda e: self.alert(e.kind),
         }
-        if bus is not None:
-            bus.subscribe(self)
 
     def __call__(self, event):
-        self.events_seen += 1
         handler = self._dispatch.get(type(event))
-        if handler is not None:
+        if handler is None:
+            self.events_seen += 1
+        else:
             handler(event)
 
-    # ------------------------------------------------------------- handlers
+    # ---------------------------------------------------------------- folds
 
-    def _on_submitted(self, event):
-        self._submitted[event.task_id] = event.ts
+    def seen(self):
+        """An event with nothing to fold (fault injected, fallback...)."""
+        self.events_seen += 1
 
-    def _on_ingested(self, event):
-        self._ingested[event.task_id] = event.ts
-        submitted = self._submitted.get(event.task_id)
+    def submitted(self, ts, task_id):
+        self.events_seen += 1
+        self._submitted[task_id] = ts
+
+    def ingested(self, ts, task_id):
+        self.events_seen += 1
+        self._ingested[task_id] = ts
+        submitted = self._submitted.get(task_id)
         if submitted is not None:
-            self.stages["submit_to_ingest"].add(event.ts - submitted)
+            self.stages["submit_to_ingest"].add(ts - submitted)
 
-    def _on_round(self, event):
+    def planned(self):
+        self.events_seen += 1
         self.rounds += 1
 
-    def _on_executed(self, event):
-        if event.task_id in self._first_exec:
+    def executed(self, ts, task_id):
+        """A segment (AVX) or a run of segments (DMA) landed."""
+        self.events_seen += 1
+        if task_id in self._first_exec:
             return
-        self._first_exec[event.task_id] = event.ts
-        ingested = self._ingested.get(event.task_id)
+        self._first_exec[task_id] = ts
+        ingested = self._ingested.get(task_id)
         if ingested is not None:
-            self.stages["ingest_to_execute"].add(event.ts - ingested)
+            self.stages["ingest_to_execute"].add(ts - ingested)
 
-    def _on_finished(self, event):
-        task_id = event.task_id
+    def finished(self, ts, task_id, outcome):
+        self.events_seen += 1
         submitted = self._submitted.pop(task_id, None)
         self._ingested.pop(task_id, None)
         first_exec = self._first_exec.pop(task_id, None)
-        self.outcomes[event.outcome] = self.outcomes.get(event.outcome, 0) + 1
-        if event.outcome != "done":
+        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
+        if outcome != "done":
             return
         if first_exec is not None:
-            self.stages["execute_to_complete"].add(event.ts - first_exec)
+            self.stages["execute_to_complete"].add(ts - first_exec)
         if submitted is not None:
-            self.stages["submit_to_complete"].add(event.ts - submitted)
+            self.stages["submit_to_complete"].add(ts - submitted)
 
-    def _on_sleep(self, event):
+    def slept(self):
+        self.events_seen += 1
         self.thread_sleeps += 1
 
-    def _on_wake(self, event):
+    def woke(self, slept_cycles):
+        self.events_seen += 1
         self.thread_wakes += 1
-        self.slept_cycles += event.slept_cycles
+        self.slept_cycles += slept_cycles
 
-    def _on_shed(self, event):
+    def shed(self):
+        self.events_seen += 1
         self.outcomes["shed"] = self.outcomes.get("shed", 0) + 1
 
-    def _on_watchdog(self, event):
-        kind = event.kind
+    def alert(self, kind):
+        """A watchdog alert of event kind ``kind``."""
+        self.events_seen += 1
         self.watchdog_alerts[kind] = self.watchdog_alerts.get(kind, 0) + 1
 
     # -------------------------------------------------------------- export

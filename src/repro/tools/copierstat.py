@@ -9,9 +9,10 @@ human-readable report.  The snapshot itself comes from
 
 Since the trace bus landed, the snapshot also carries a ``"stages"``
 section: the per-stage latency breakdown (submit→ingest, ingest→execute,
-execute→complete, submit→complete) aggregated from the typed events each
-copy-path layer emits (:mod:`repro.sim.trace`), plus task outcomes and
-thread sleep/wake accounting.  Useful both for debugging ports (is my
+execute→complete, submit→complete) that each copy-path layer folds into
+the service's :class:`~repro.sim.trace.StageAggregator` at the stage
+boundaries the trace bus names, plus task outcomes and thread sleep/wake
+accounting.  Useful both for debugging ports (is my
 abort actually retiring the task?  where does my latency live?) and for
 the benchmarks' narratives.
 """
